@@ -20,15 +20,16 @@ import math
 import os
 import secrets
 import sys
+import tempfile
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from importlib import metadata
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import __version__
 from .centered_wg import BracketMomentSpec, bracket_expansion, centered_moment
 from .freegroup import (
     MatrixPencil,
@@ -62,6 +63,7 @@ from .symcore import (
 )
 from .weingarten import (
     UnsupportedRegimeError,
+    _integer_partitions,
     catalan,
     haar_moment,
     hurwitz_count,
@@ -92,13 +94,6 @@ class RunManifest:
     version: str
     wall_time_s: float
     output_digest: str
-
-
-def _library_version() -> str:
-    try:
-        return metadata.version("artifact")
-    except metadata.PackageNotFoundError:
-        return "0.0.0"
 
 
 def _fraction_str(value: Fraction) -> str:
@@ -177,30 +172,62 @@ def _cached_wg_values(k: int, n: int, orthogonal: bool) -> dict[str, str]:
     """Weingarten table as type-key -> rational-string, memoized on disk.
 
     The cache file name is the content address (k, n, orthogonal); a hit
-    skips the Gram solve entirely.
+    skips the Gram solve entirely.  A file that does not hold exactly the
+    requested table counts as a miss and is replaced; the replacement is
+    written to a temporary file first, so no reader sees a partial table.
     """
     cache_dir = os.environ.get(CACHE_ENV_VAR)
-    name = f"wg-{'orth' if orthogonal else 'unit'}-k{k}-n{n}.json"
+    path = None
     if cache_dir:
-        path = Path(cache_dir) / name
-        if path.is_file():
-            return json.loads(path.read_text())["values"]
+        path = Path(cache_dir) / f"wg-{'orth' if orthogonal else 'unit'}-k{k}-n{n}.json"
+        values = _read_cached_table(path, k, n, orthogonal)
+        if values is not None:
+            return values
     table = wg_orth_exact(k, n) if orthogonal else wg_exact(k, n)
     values = {
         _type_key(ct): _fraction_str(value) for ct, value in sorted(table.values.items())
     }
-    if cache_dir:
-        path = Path(cache_dir) / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(
-                {"k": k, "n": n, "orthogonal": orthogonal, "values": values},
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
+    if path is not None:
+        text = json.dumps(
+            {"k": k, "n": n, "orthogonal": orthogonal, "values": values},
+            indent=2,
+            sort_keys=True,
         )
+        path.parent.mkdir(parents=True, exist_ok=True)
+        handle, temp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(handle, "w") as out:
+                out.write(text + "\n")
+            os.replace(temp, path)
+        finally:
+            if os.path.exists(temp):
+                os.unlink(temp)
     return values
+
+
+def _read_cached_table(
+    path: Path, k: int, n: int, orthogonal: bool
+) -> Optional[dict[str, str]]:
+    """The values of a cache file, or None unless its header, its type keys
+    and every canonical rational match the requested table."""
+    try:
+        data = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return None
+    if not isinstance(data, dict) or (
+        data.get("k"), data.get("n"), data.get("orthogonal")
+    ) != (k, n, orthogonal):
+        return None
+    values = data.get("values")
+    types = _integer_partitions(k // 2 if orthogonal else k)
+    if not isinstance(values, dict) or set(values) != {_type_key(ct) for ct in types}:
+        return None
+    try:
+        if all(_fraction_str(Fraction(value)) == value for value in values.values()):
+            return values
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
+    return None
 
 
 def _cmd_centered_check(args: argparse.Namespace, seed: int) -> tuple[bytes, int]:
@@ -744,7 +771,7 @@ def dispatch(argv: Sequence[str]) -> int:
             if key not in ("handler", "command", "seed")
         },
         seed=seed,
-        version=_library_version(),
+        version=__version__,
         wall_time_s=time.perf_counter() - started,
         output_digest=digest,
     )

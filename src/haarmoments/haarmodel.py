@@ -4,7 +4,9 @@ Each of ``d`` independent Haar unitaries acts through
 ``V_i = conj(U_i)^(x q_minus) (x) U_i^(x q_plus)`` on ``C^(n^q)``; the
 model operator couples pencil coefficients to these images.  The mean of
 ``V_i`` is the orthogonal projector onto the invariant subspace, computed
-from exact Weingarten values rather than sampling.  Experiments compare
+from exact Weingarten values rather than sampling.  Model operators are
+matrix-free: they act on vectors through the unitaries' tensor legs, and
+restricted norms come from an ARPACK Lanczos solve.  Experiments compare
 restricted operator norms with the free limit and non-backtracking power
 norms with the tree growth rate.
 """
@@ -17,7 +19,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from statistics import median
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,25 +35,20 @@ from .symcore import (
 )
 from .weingarten import UnsupportedRegimeError
 
-#: Tensor operators are materialized densely up to this total dimension.
+#: Dense projectors are materialized up to this tensor dimension.
 MAX_TENSOR_DENSE_DIM = 4096
-#: Hard cap on the total model dimension (matrix-free included).
+#: Hard cap on the total model dimension.
 MAX_MODEL_DIM = 1_000_000
 #: Cap on the realized non-backtracking dimension in ``nb_norm_check``.
 MAX_NB_DENSE_DIM = 4096
-#: Power iteration defaults for restricted norms.
-POWER_TOL = 1e-8
-POWER_MAX_ITER = 5000
+#: Relative tolerance of the Lanczos solve for the top eigenvalue of ``M* M``.
+NORM_TOL = 1e-10
 
 _NORM_SEED_SALT = 0x5EED_0F_0E
 
 
 class PowerIterationError(RuntimeError):
-    """Raised when the norm iteration fails to stabilize; carries the gap."""
-
-    def __init__(self, message: str, gap: float) -> None:
-        super().__init__(message)
-        self.gap = gap
+    """Raised when the restricted-norm eigensolve fails to converge."""
 
 
 def model_rng(seed: int) -> np.random.Generator:
@@ -76,30 +73,35 @@ def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def _projector_factors(
     n: int, q_minus: int, q_plus: int
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Indicator vectors and Weingarten weights of the mean tensor operator.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indicator rows and Weingarten weights of the mean tensor operator.
 
     The mean factors through pairings of conjugate and plain legs:
-    ``E V = sum_{p,q} w(p, q) v_p v_q^T`` with 0/1 vectors ``v_p``.
+    ``E V = I^T W I`` with one 0/1 row of ``I`` per pairing.  Unbalanced
+    legs have no pairings, and the mean is zero.
     """
     q = q_minus + q_plus
+    dim = n**q
+    if q_minus != q_plus:
+        return np.zeros((0, dim)), np.zeros((0, 0))
+    if q_minus > n:
+        raise UnsupportedRegimeError(
+            f"projector needs q/2 = {q_minus} <= n = {n}"
+        )
     eps = EpsilonSequence(tuple([BAR] * q_minus + [DOT] * q_plus))
     matchings = epsilon_matchings(eps)
-    dim = n**q
     digits = [(np.arange(dim) // n ** (q - p)) % n for p in range(1, q + 1)]
-    vectors = []
-    for matching in matchings:
-        indicator = np.ones(dim, dtype=float)
+    indicators = np.ones((len(matchings), dim))
+    for row, matching in enumerate(matchings):
         for a, b in matching.pairing.pairs:
-            indicator = indicator * (digits[a - 1] == digits[b - 1])
-        vectors.append(indicator)
+            indicators[row] *= digits[a - 1] == digits[b - 1]
     weights = np.array(
         [
             [float(matching_weingarten(p, q_m, n)) for q_m in matchings]
             for p in matchings
         ]
     )
-    return vectors, weights
+    return indicators, weights
 
 
 def build_projector(n: int, q_minus: int, q_plus: int) -> np.ndarray:
@@ -115,19 +117,8 @@ def build_projector(n: int, q_minus: int, q_plus: int) -> np.ndarray:
         raise CapacityError(
             f"dense projector capped at dimension {MAX_TENSOR_DENSE_DIM}"
         )
-    dim = n**q
-    if q_minus != q_plus:
-        return np.zeros((dim, dim))
-    if q_minus > n:
-        raise UnsupportedRegimeError(
-            f"projector needs q/2 = {q_minus} <= n = {n}"
-        )
-    vectors, weights = _projector_factors(n, q_minus, q_plus)
-    projector = np.zeros((dim, dim))
-    for i, left in enumerate(vectors):
-        for j, right in enumerate(vectors):
-            projector += weights[i, j] * np.outer(left, right)
-    return projector
+    indicators, weights = _projector_factors(n, q_minus, q_plus)
+    return indicators.T @ weights @ indicators
 
 
 @dataclass(frozen=True)
@@ -171,25 +162,17 @@ class ModelConfig:
 
 @dataclass(frozen=True, eq=False)
 class TensorModelInstance:
-    """One sampled model: unitaries, tensor images, projector, operators.
+    """One sampled model: unitaries and the factors of the mean projector.
 
-    Dense fields are populated below the dense cap; the apply methods
-    work in both modes and act on vectors of the total dimension.
+    Operators are matrix-free: the apply methods act on vectors of the
+    total dimension through the unitaries' tensor legs and the stacked
+    ``(pairings, tensor dimension)`` indicator array of the projector.
     """
 
     config: ModelConfig
     unitaries: tuple[np.ndarray, ...]
-    projector_vectors: tuple[np.ndarray, ...]
+    projector_vectors: np.ndarray
     projector_weights: np.ndarray
-    images: Optional[tuple[np.ndarray, ...]]
-    projector: Optional[np.ndarray]
-    brackets: Optional[tuple[np.ndarray, ...]]
-    matrix: Optional[np.ndarray]
-    restricted_matrix: Optional[np.ndarray]
-
-    @property
-    def is_dense(self) -> bool:
-        return self.matrix is not None
 
     def _apply_image(self, color: int, block: np.ndarray) -> np.ndarray:
         """Apply ``V_color`` to the tensor axis of a (coeff, tensor) block."""
@@ -207,14 +190,8 @@ class TensorModelInstance:
         return shaped.reshape(block.shape)
 
     def _apply_projector(self, block: np.ndarray) -> np.ndarray:
-        if self.config.q_minus != self.config.q_plus:
-            return np.zeros_like(block)
-        overlaps = np.array([block @ right for right in self.projector_vectors]).T
-        mixed = overlaps @ self.projector_weights.T
-        result = np.zeros_like(block)
-        for j, left in enumerate(self.projector_vectors):
-            result += np.outer(mixed[:, j], left)
-        return result
+        vectors = self.projector_vectors
+        return block @ vectors.T @ self.projector_weights.T @ vectors
 
     def _apply_pencil(self, vector: np.ndarray, adjoint: bool) -> np.ndarray:
         cfg = self.config
@@ -250,110 +227,49 @@ class TensorModelInstance:
         return self._project_out(self.apply_a_adjoint(self._project_out(vector)))
 
 
-def build_instance(
-    cfg: ModelConfig, dense_cap: int = MAX_TENSOR_DENSE_DIM
-) -> TensorModelInstance:
-    """Sample the unitaries and realize the model operators."""
+def build_instance(cfg: ModelConfig) -> TensorModelInstance:
+    """Sample the unitaries and the projector factors of one model."""
     rng = model_rng(cfg.seed)
     unitaries = tuple(sample_haar_unitary(cfg.n, rng) for _ in range(cfg.d))
-    if cfg.q_minus == cfg.q_plus:
-        if cfg.q_minus > cfg.n:
-            raise UnsupportedRegimeError(
-                f"projector needs q/2 = {cfg.q_minus} <= n = {cfg.n}"
-            )
-        vectors, weights = _projector_factors(cfg.n, cfg.q_minus, cfg.q_plus)
-    else:
-        vectors, weights = [], np.zeros((0, 0))
-    dense = cfg.total_dimension <= dense_cap
-    images = projector = brackets = matrix = restricted = None
-    if dense:
-        images = []
-        for i in range(cfg.d):
-            factors = [unitaries[i].conj()] * cfg.q_minus + [unitaries[i]] * cfg.q_plus
-            images.append(reduce(np.kron, factors))
-        images = images + [image.conj().T for image in images]
-        images = tuple(images)
-        projector = build_projector(cfg.n, cfg.q_minus, cfg.q_plus)
-        brackets = tuple(image - projector for image in images)
-        matrix = np.kron(cfg.pencil.a0, np.eye(cfg.tensor_dimension))
-        for color in range(2 * cfg.d):
-            matrix = matrix + np.kron(cfg.pencil.a[color], images[color])
-        complement = np.eye(cfg.total_dimension) - np.kron(
-            np.eye(cfg.coeff_dim), projector
-        )
-        restricted = complement @ matrix @ complement
+    vectors, weights = _projector_factors(cfg.n, cfg.q_minus, cfg.q_plus)
     return TensorModelInstance(
         config=cfg,
         unitaries=unitaries,
-        projector_vectors=tuple(vectors),
+        projector_vectors=vectors,
         projector_weights=weights,
-        images=images,
-        projector=projector,
-        brackets=brackets,
-        matrix=matrix,
-        restricted_matrix=restricted,
     )
 
 
-def _power_norm_of(
-    apply_op: Callable[[np.ndarray], np.ndarray],
-    apply_adjoint: Callable[[np.ndarray], np.ndarray],
-    dimension: int,
-    rng: np.random.Generator,
-    tol: float,
-    max_iter: int,
-) -> tuple[Optional[float], float]:
-    vector = rng.standard_normal(dimension) + 1j * rng.standard_normal(dimension)
-    vector /= np.linalg.norm(vector)
-    previous = 0.0
-    gap = np.inf
-    for _ in range(max_iter):
-        forward = apply_op(vector)
-        sigma = float(np.linalg.norm(forward))
-        if sigma == 0.0:
-            return 0.0, 0.0
-        backward = apply_adjoint(forward)
-        scale = float(np.linalg.norm(backward))
-        if scale == 0.0:
-            return sigma, 0.0
-        vector = backward / scale
-        gap = abs(sigma - previous)
-        if gap <= tol * max(1.0, sigma):
-            return sigma, gap
-        previous = sigma
-    return None, gap
-
-
-def restricted_norm(
-    inst: TensorModelInstance,
-    tol: float = POWER_TOL,
-    max_iter: int = POWER_MAX_ITER,
-) -> float:
+def restricted_norm(inst: TensorModelInstance) -> float:
     """Norm of the model compressed to the complement of the invariant part.
 
-    Power iteration on ``M* M`` with a seeded random start and a single
-    restart; failure to stabilize raises an error carrying the last gap.
+    ARPACK Lanczos for the top eigenvalue of the Hermitian ``M* M``,
+    started from a seeded random vector; failure to converge raises
+    :class:`PowerIterationError`.  A zero operator has norm 0.0, and
+    dimensions ARPACK cannot take (at most 2) are solved densely.
     """
-    rng = model_rng(inst.config.seed ^ _NORM_SEED_SALT)
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
     dimension = inst.config.total_dimension
-    last_gap = np.inf
-    for _ in range(2):
-        value, gap = _power_norm_of(
-            inst.apply_restricted,
-            inst.apply_restricted_adjoint,
-            dimension,
-            rng,
-            tol,
-            max_iter,
-        )
-        if value is not None:
-            return value
-        last_gap = gap
-    raise PowerIterationError(
-        f"restricted norm did not stabilize to {tol} within {max_iter} "
-        f"iterations (last gap {last_gap:.3e})",
-        gap=last_gap,
+    if dimension <= 2:
+        columns = [inst.apply_restricted(e) for e in np.eye(dimension, dtype=complex)]
+        return float(np.linalg.norm(np.column_stack(columns), 2))
+    rng = model_rng(inst.config.seed ^ _NORM_SEED_SALT)
+    start = rng.standard_normal(dimension) + 1j * rng.standard_normal(dimension)
+    if not np.any(inst.apply_restricted(start)):
+        return 0.0
+    gram = LinearOperator(
+        (dimension, dimension),
+        matvec=lambda v: inst.apply_restricted_adjoint(inst.apply_restricted(v)),
+        dtype=complex,
     )
+    try:
+        top = eigsh(
+            gram, k=1, which="LA", tol=NORM_TOL, v0=start, return_eigenvectors=False
+        )
+    except ArpackNoConvergence as exc:
+        raise PowerIterationError(f"restricted norm did not converge: {exc}") from exc
+    return float(np.sqrt(top[0]))
 
 
 def astar_norm_estimate(pencil: MatrixPencil, radius: int = 200) -> float:
@@ -463,17 +379,24 @@ class NBNormTable:
 
 
 def bracket_nb_operator(inst: TensorModelInstance) -> NBOperator:
-    """The non-backtracking operator with weights ``a_i (x) [V_i]``."""
-    if not inst.is_dense:
-        raise CapacityError("bracket non-backtracking operator needs dense mode")
+    """The non-backtracking operator with weights ``a_i (x) [V_i]``.
+
+    The tensor images ``V_i`` and the projector are formed densely here.
+    """
     cfg = inst.config
     if 2 * cfg.d * cfg.total_dimension > MAX_NB_DENSE_DIM:
         raise CapacityError(
             f"non-backtracking dimension {2 * cfg.d * cfg.total_dimension} "
             f"exceeds {MAX_NB_DENSE_DIM}"
         )
+    images = [
+        reduce(np.kron, [u.conj()] * cfg.q_minus + [u] * cfg.q_plus)
+        for u in inst.unitaries
+    ]
+    images += [image.conj().T for image in images]
+    projector = build_projector(cfg.n, cfg.q_minus, cfg.q_plus)
     weights = [
-        np.kron(cfg.pencil.a[color], inst.brackets[color])
+        np.kron(cfg.pencil.a[color], images[color] - projector)
         for color in range(2 * cfg.d)
     ]
     return build_nb(weights, side="right")

@@ -9,6 +9,8 @@ import sys
 
 import pytest
 
+import haarmoments
+
 
 def run_cli(*argv, env_extra=None, cwd=None):
     env = os.environ.copy()
@@ -84,8 +86,27 @@ class TestWgTable:
         assert first.returncode == 0
         cached = cache / "wg-unit-k3-n6.json"
         assert cached.is_file()
+        stamp = cached.stat().st_mtime_ns
         second = run_cli("wg-table", "--k", "3", "--n", "6", env_extra=env)
         assert second.stdout == first.stdout
+        assert cached.stat().st_mtime_ns == stamp
+        assert sorted(path.name for path in cache.iterdir()) == ["wg-unit-k3-n6.json"]
+
+    @pytest.mark.parametrize("corrupt", ["garbage", "truncated"])
+    def test_bad_cache_file_is_a_miss(self, tmp_path, corrupt):
+        cache = tmp_path / "cache"
+        env = {"HAARMOMENTS_CACHE": str(cache)}
+        fresh = run_cli("wg-table", "--k", "3", "--n", "4", env_extra=env)
+        cached = cache / "wg-unit-k3-n4.json"
+        valid = cached.read_text()
+        if corrupt == "garbage":
+            cached.write_text(json.dumps({"values": {"1,1": "garbage"}}))
+        else:
+            cached.write_text(valid[: len(valid) // 2])
+        proc = run_cli("wg-table", "--k", "3", "--n", "4", env_extra=env)
+        assert proc.returncode == 0
+        assert proc.stdout == fresh.stdout
+        assert cached.read_text() == valid
 
 
 class TestManifest:
@@ -108,6 +129,10 @@ class TestManifest:
         assert proc.stderr == b""
         manifest = json.loads((tmp_path / "table.json.manifest.json").read_text())
         assert manifest["output_digest"] == hashlib.sha256(out.read_bytes()).hexdigest()
+
+    def test_version_is_package_version(self):
+        proc = run_cli("wg-table", "--k", "2", "--n", "5")
+        assert json.loads(proc.stderr)["version"] == haarmoments.__version__
 
     def test_omitted_seed_is_recorded_and_reproducible(self):
         proc = run_cli("wg-table", "--k", "2", "--n", "4")

@@ -1,15 +1,16 @@
 """Haar sampling, tensor model assembly, restricted norms, experiments."""
 
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from haarmoments.freegroup import MatrixPencil, astar_norm_lower
 from haarmoments.haarmodel import (
     MAX_NB_DENSE_DIM,
     ModelConfig,
-    PowerIterationError,
     astar_norm_estimate,
     bracket_nb_operator,
     build_instance,
@@ -40,6 +41,38 @@ def config(n, d=2, q_minus=0, q_plus=1, pencil=None, seed=20260816, r=1):
         n=n, d=d, q_minus=q_minus, q_plus=q_plus,
         coeff_dim=r, pencil=pencil, seed=seed,
     )
+
+
+def kron_images(inst):
+    """The tensor images ``V_i`` and their adjoints, formed by ``np.kron``."""
+    cfg = inst.config
+    images = [
+        reduce(np.kron, [u.conj()] * cfg.q_minus + [u] * cfg.q_plus)
+        for u in inst.unitaries
+    ]
+    return images + [image.conj().T for image in images]
+
+
+def kron_matrix(inst):
+    """The model operator formed densely, independently of the apply methods."""
+    cfg = inst.config
+    matrix = np.kron(cfg.pencil.a0, np.eye(cfg.tensor_dimension))
+    for coeff, image in zip(cfg.pencil.a, kron_images(inst)):
+        matrix = matrix + np.kron(coeff, image)
+    return matrix
+
+
+def kron_restricted(inst):
+    """The dense model compressed to the complement of the invariant part."""
+    cfg = inst.config
+    projector = build_projector(cfg.n, cfg.q_minus, cfg.q_plus)
+    complement = np.eye(cfg.total_dimension) - np.kron(np.eye(cfg.coeff_dim), projector)
+    return complement @ kron_matrix(inst) @ complement
+
+
+def applied_matrix(apply, dimension):
+    """A matrix-free operator materialized column by column."""
+    return np.column_stack([apply(e) for e in np.eye(dimension, dtype=complex)])
 
 
 class TestSampleHaarUnitary:
@@ -183,30 +216,35 @@ class TestModelConfig:
 class TestBuildInstance:
     def test_invariants_balanced(self):
         inst = build_instance(config(4, q_minus=1, q_plus=1, seed=5))
-        for image in inst.images:
+        images = kron_images(inst)
+        for image in images:
             dim = image.shape[0]
             assert np.abs(image.conj().T @ image - np.eye(dim)).max() < 1e-12
-        p = inst.projector
+        p = build_projector(4, 1, 1)
         assert np.abs(p - p.conj().T).max() < 1e-10
         assert np.abs(p @ p - p).max() < 1e-10
-        for image, bracket in zip(inst.images, inst.brackets):
+        brackets = bracket_nb_operator(inst).weights
+        for image, bracket in zip(images, brackets):
             assert np.abs(p @ image - image @ p).max() < 1e-10
             assert np.array_equal(bracket, image - p)
         full = np.kron(np.eye(inst.config.coeff_dim), p)
         complement = np.eye(inst.config.total_dimension) - full
-        assert np.abs(complement @ inst.matrix @ full).max() < 1e-10
-        assert np.abs(full @ inst.matrix @ complement).max() < 1e-10
+        matrix = applied_matrix(inst.apply_a, inst.config.total_dimension)
+        assert np.abs(complement @ matrix @ full).max() < 1e-10
+        assert np.abs(full @ matrix @ complement).max() < 1e-10
 
     def test_adjoint_images_paired(self):
         inst = build_instance(config(3, d=2, seed=9))
+        brackets = bracket_nb_operator(inst).weights
         for i in range(2):
-            assert np.array_equal(inst.images[i + 2], inst.images[i].conj().T)
+            assert np.array_equal(brackets[i + 2], brackets[i].conj().T)
 
     def test_spectrum_single_generator(self):
         pencil = scalar_pencil(1, 0.0, [1.0, 1.0])
         inst = build_instance(config(6, d=1, pencil=pencil, seed=11))
-        sym = (inst.matrix + inst.matrix.conj().T) / 2
-        assert np.abs(inst.matrix - sym).max() < 1e-10
+        matrix = applied_matrix(inst.apply_a, 6)
+        sym = (matrix + matrix.conj().T) / 2
+        assert np.abs(matrix - sym).max() < 1e-10
         eigenvalues = np.sort(np.linalg.eigvalsh(sym))
         angles = np.angle(np.linalg.eigvals(inst.unitaries[0]))
         assert np.abs(eigenvalues - np.sort(2 * np.cos(angles))).max() < 1e-10
@@ -220,19 +258,15 @@ class TestBuildInstance:
         )
         inst = build_instance(config(3, d=1, pencil=pencil, r=2, seed=2))
         expected = np.kron(pencil.a0, np.eye(3))
-        assert np.abs(inst.matrix - expected).max() == 0.0
+        assert np.abs(applied_matrix(inst.apply_a, 6) - expected).max() == 0.0
 
     def test_matrix_free_matches_dense(self):
-        cfg = config(4, q_minus=1, q_plus=1, seed=5)
-        dense = build_instance(cfg)
-        lazy = build_instance(cfg, dense_cap=1)
-        assert dense.is_dense and not lazy.is_dense
-        assert lazy.matrix is None and lazy.restricted_matrix is None
+        inst = build_instance(config(4, q_minus=1, q_plus=1, seed=5))
         rng = model_rng(123)
         vector = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        assert np.abs(dense.matrix @ vector - lazy.apply_a(vector)).max() < 1e-12
+        assert np.abs(kron_matrix(inst) @ vector - inst.apply_a(vector)).max() < 1e-12
         assert (
-            np.abs(dense.restricted_matrix @ vector - lazy.apply_restricted(vector)).max()
+            np.abs(kron_restricted(inst) @ vector - inst.apply_restricted(vector)).max()
             < 1e-12
         )
 
@@ -245,13 +279,41 @@ class TestBuildInstance:
         a0 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         pencil = MatrixPencil(d=2, coeff_dim=2, a0=a0, a=tuple(coeffs))
         cfg = config(3, d=2, q_minus=1, q_plus=1, pencil=pencil, r=2, seed=8)
-        inst = build_instance(cfg, dense_cap=1)
+        inst = build_instance(cfg)
         dim = cfg.total_dimension
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         w = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         forward = np.vdot(w, inst.apply_a(v))
         backward = np.vdot(inst.apply_a_adjoint(w), v)
         assert abs(forward - backward) < 1e-10
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 4),
+        legs=st.sampled_from([(0, 1), (1, 0), (0, 2), (2, 0), (1, 1)]),
+        d=st.integers(1, 2),
+        r=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_apply_methods_match_kron_route(self, n, legs, d, r, seed):
+        rng = np.random.default_rng(seed)
+
+        def draw(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        pencil = MatrixPencil(
+            d=d, coeff_dim=r, a0=draw(r, r), a=tuple(draw(r, r) for _ in range(2 * d))
+        )
+        cfg = config(n, d=d, q_minus=legs[0], q_plus=legs[1], pencil=pencil, r=r, seed=seed)
+        inst = build_instance(cfg)
+        matrix = kron_matrix(inst)
+        vector = draw(cfg.total_dimension)
+        assert np.abs(matrix @ vector - inst.apply_a(vector)).max() < 1e-12
+        assert np.abs(matrix.conj().T @ vector - inst.apply_a_adjoint(vector)).max() < 1e-12
+        assert (
+            np.abs(kron_restricted(inst) @ vector - inst.apply_restricted(vector)).max()
+            < 1e-12
+        )
 
     def test_same_seed_reproduces_unitaries(self):
         cfg = config(5, seed=77)
@@ -274,17 +336,18 @@ class TestRestrictedNorm:
 
     def test_unbalanced_equals_plain_norm(self):
         inst = build_instance(config(8, seed=21))
-        plain = np.linalg.norm(inst.matrix, 2)
+        plain = np.linalg.norm(kron_matrix(inst), 2)
         assert restricted_norm(inst) == pytest.approx(plain, abs=1e-6)
 
     def test_never_exceeds_full_norm(self):
         inst = build_instance(config(5, q_minus=1, q_plus=1, seed=13))
-        assert restricted_norm(inst) <= np.linalg.norm(inst.matrix, 2) + 1e-8
+        assert restricted_norm(inst) <= np.linalg.norm(kron_matrix(inst), 2) + 1e-8
 
     def test_matches_dense_eigensolve(self):
         inst = build_instance(config(5, q_minus=1, q_plus=1, seed=17))
-        sym = (inst.restricted_matrix + inst.restricted_matrix.conj().T) / 2
-        assert np.abs(inst.restricted_matrix - sym).max() < 1e-10
+        restricted = kron_restricted(inst)
+        sym = (restricted + restricted.conj().T) / 2
+        assert np.abs(restricted - sym).max() < 1e-10
         top = np.abs(np.linalg.eigvalsh(sym)).max()
         assert restricted_norm(inst) == pytest.approx(top, abs=1e-6)
 
@@ -293,11 +356,18 @@ class TestRestrictedNorm:
         inst = build_instance(config(4, pencil=pencil, seed=1))
         assert restricted_norm(inst) == 0.0
 
-    def test_nonconvergence_carries_gap(self):
-        inst = build_instance(config(6, seed=29))
-        with pytest.raises(PowerIterationError) as info:
-            restricted_norm(inst, tol=0.0, max_iter=2)
-        assert info.value.gap > 0.0
+    def test_near_degenerate_edges_of_uniform_pencil(self):
+        """The top two singular values nearly coincide here; the value is
+        the top |eigenvalue| of the dense restricted model."""
+        inst = build_instance(config(40, q_minus=1, q_plus=1, seed=3513612260))
+        assert abs(restricted_norm(inst) - 3.451483092490507) < 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_dimensions_below_lanczos_reach(self, n):
+        pencil = scalar_pencil(1, 0.5, [1.0, 1.0])
+        inst = build_instance(config(n, d=1, pencil=pencil))
+        expected = np.linalg.norm(kron_matrix(inst), 2)
+        assert restricted_norm(inst) == pytest.approx(expected, rel=1e-12)
 
     def test_kesten_value_small_scale(self):
         values = []
@@ -388,11 +458,6 @@ class TestNBNormCheck:
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             nb_norm_check(config(MAX_NB_DENSE_DIM // 4 + 1, seed=1), (4,), trials=1)
-
-    def test_requires_dense_instance(self):
-        inst = build_instance(config(6, seed=8), dense_cap=1)
-        with pytest.raises(CapacityError):
-            bracket_nb_operator(inst)
 
     def test_trial_seeds_recorded(self):
         table = nb_norm_check(config(12, seed=9), (4,), trials=3)
