@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterator
 
 from ._approx import root_lower
 from .symcore import (
@@ -200,27 +200,19 @@ def centered_wg_value(
     )
 
 
-def bracket_expansion(spec: BracketMomentSpec, n: int) -> Fraction:
-    """Centered moment by direct inclusion-exclusion over bracket subsets.
+def _inclusion_exclusion(
+    blocks: tuple[frozenset, ...], sub_moment: Callable[[tuple[int, ...]], Fraction]
+) -> Fraction:
+    """``sum_A (-1)^(T-|A|) m(union of A) prod_{t not in A} m(B_t)``.
 
-    ``E([X_1]...[X_T]) = sum_A (-1)^(T-|A|) E(prod_{t in A} X_t)
-    prod_{t not in A} E(X_t)``, every expectation a plain signed Haar moment.
+    ``A`` runs over subsets of the ``T`` blocks and ``m`` is ``sub_moment``
+    evaluated on sorted positions.  A term stops at its first zero factor.
     """
-    blocks = spec.pi.blocks
     block_count = len(blocks)
     if block_count > MAX_BRACKET_BLOCKS:
         raise CapacityError(
             f"inclusion-exclusion over 2^T subsets is capped at T = {MAX_BRACKET_BLOCKS}"
         )
-
-    def sub_moment(positions: tuple[int, ...]) -> Fraction:
-        return haar_moment_signed(
-            tuple(spec.x[l - 1] for l in positions),
-            tuple(spec.y[l - 1] for l in positions),
-            EpsilonSequence(tuple(spec.eps.signs[l - 1] for l in positions)),
-            n,
-        )
-
     total = Fraction(0)
     for size in range(block_count + 1):
         sign = (-1) ** (block_count - size)
@@ -239,6 +231,24 @@ def bracket_expansion(spec: BracketMomentSpec, n: int) -> Fraction:
                         break
             total += sign * term
     return total
+
+
+def bracket_expansion(spec: BracketMomentSpec, n: int) -> Fraction:
+    """Centered moment by direct inclusion-exclusion over bracket subsets.
+
+    ``E([X_1]...[X_T]) = sum_A (-1)^(T-|A|) E(prod_{t in A} X_t)
+    prod_{t not in A} E(X_t)``, every expectation a plain signed Haar moment.
+    """
+
+    def sub_moment(positions: tuple[int, ...]) -> Fraction:
+        return haar_moment_signed(
+            tuple(spec.x[l - 1] for l in positions),
+            tuple(spec.y[l - 1] for l in positions),
+            EpsilonSequence(tuple(spec.eps.signs[l - 1] for l in positions)),
+            n,
+        )
+
+    return _inclusion_exclusion(spec.pi.blocks, sub_moment)
 
 
 def centered_moment(spec: BracketMomentSpec, n: int) -> Fraction:
@@ -381,12 +391,6 @@ def centered_moment_orth(
         raise ValueError("bracket moments are defined for even degree")
     if len(x) != k or len(y) != k:
         raise ValueError("index tuples must match the partition's ground set")
-    blocks = pi.blocks
-    block_count = len(blocks)
-    if block_count > MAX_BRACKET_BLOCKS:
-        raise CapacityError(
-            f"inclusion-exclusion over 2^T subsets is capped at T = {MAX_BRACKET_BLOCKS}"
-        )
 
     def sub_moment(positions: tuple[int, ...]) -> Fraction:
         return orth_moment(
@@ -395,21 +399,4 @@ def centered_moment_orth(
             n,
         )
 
-    total = Fraction(0)
-    for size in range(block_count + 1):
-        sign = (-1) ** (block_count - size)
-        for subset in itertools.combinations(range(block_count), size):
-            chosen = set(subset)
-            merged = tuple(
-                sorted(itertools.chain.from_iterable(blocks[t] for t in chosen))
-            )
-            term = sub_moment(merged)
-            if term == 0:
-                continue
-            for t, block in enumerate(blocks):
-                if t not in chosen:
-                    term *= sub_moment(tuple(sorted(block)))
-                    if term == 0:
-                        break
-            total += sign * term
-    return total
+    return _inclusion_exclusion(pi.blocks, sub_moment)

@@ -12,7 +12,7 @@ truncated resolvent entries at the root.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -356,57 +356,65 @@ def build_tree_ball(pencil: MatrixPencil, radius: int) -> TreeBallOperator:
     return TreeBallOperator(radius=radius, basis=basis, matrix=matrix, coeff_dim=r)
 
 
-def _ball_is_below(pencil: MatrixPencil, mu: float, radius: int) -> bool:
-    """Whether ``mu`` exceeds the top of the radius-``radius`` ball spectrum.
+def _positive_definite_inverse(pivot: np.ndarray) -> np.ndarray | None:
+    """Inverse of the hermitized pivot, or ``None`` when it is not positive definite."""
+    hermitized = (pivot + pivot.conj().T) / 2
+    try:
+        np.linalg.cholesky(hermitized)
+    except np.linalg.LinAlgError:
+        return None
+    return np.linalg.inv(hermitized)
 
-    Runs the leaf-to-root Schur elimination of ``mu - A_ball``; the shift
-    dominates exactly when every pivot is positive definite.
+
+def _schur_recursion(
+    pencil: MatrixPencil,
+    mu: float,
+    depth: int,
+    invert: Callable[[np.ndarray], np.ndarray | None],
+) -> tuple[np.ndarray, list[np.ndarray]] | None:
+    """Leaf-to-root Schur elimination of ``mu - A`` on the radius-``depth`` ball.
+
+    Returns the inverted root pivot and the inverted pivots of the
+    ``2d`` subtrees hanging off the root (a subtree entered through color
+    ``j`` branches into every color except ``star(j)``); depth 0 is the bare
+    root with no subtrees.  Returns ``None`` as soon as ``invert`` refuses a
+    pivot.
     """
-    r = pencil.coeff_dim
-    eye = np.eye(r)
-    colors = 2 * pencil.d
+    d = pencil.d
+    bare = mu * np.eye(pencil.coeff_dim) - pencil.a0
 
-    def pivot_inverse(matrix: np.ndarray) -> np.ndarray | None:
-        hermitized = (matrix + matrix.conj().T) / 2
-        try:
-            np.linalg.cholesky(hermitized)
-        except np.linalg.LinAlgError:
-            return None
-        return np.linalg.inv(hermitized)
+    def pivot_inverse(excluded: int | None, sub: list[np.ndarray]) -> np.ndarray | None:
+        pivot = bare
+        for l, block in enumerate(sub):
+            if l != excluded:
+                pivot = pivot - pencil.a[star(l, d)] @ block @ pencil.a[l]
+        return invert(pivot)
 
-    if radius == 0:
-        return pivot_inverse(mu * eye - pencil.a0) is not None
-    sub = []
-    for _ in range(colors):
-        inv = pivot_inverse(mu * eye - pencil.a0)
-        if inv is None:
-            return False
-        sub.append(inv)
-    for _ in range(radius - 1):
+    sub: list[np.ndarray] = []
+    for _ in range(depth):
         fresh = []
-        for j in range(colors):
-            pivot = mu * eye - pencil.a0
-            for l in range(colors):
-                if l == star(j, pencil.d):
-                    continue
-                pivot = pivot - pencil.a[star(l, pencil.d)] @ sub[l] @ pencil.a[l]
-            inv = pivot_inverse(pivot)
-            if inv is None:
-                return False
-            fresh.append(inv)
+        for j in range(2 * d):
+            inverse = pivot_inverse(star(j, d), sub)
+            if inverse is None:
+                return None
+            fresh.append(inverse)
         sub = fresh
-    pivot = mu * eye - pencil.a0
-    for l in range(colors):
-        pivot = pivot - pencil.a[star(l, pencil.d)] @ sub[l] @ pencil.a[l]
-    return pivot_inverse(pivot) is not None
+    root = pivot_inverse(None, sub)
+    return None if root is None else (root, sub)
 
 
 def _ball_top(pencil: MatrixPencil, radius: int, tol: float) -> float:
+    """Top of the ball spectrum by bisection on the shift ``mu``.
+
+    ``mu`` lies above the spectrum exactly when every Schur pivot of
+    ``mu - A_ball`` is positive definite.
+    """
     scale = pencil.coefficient_scale
     lo, hi = -scale - 1.0, scale + 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        if _ball_is_below(pencil, mid, radius):
+        eliminated = _schur_recursion(pencil, mid, radius, _positive_definite_inverse)
+        if eliminated is not None:
             hi = mid
         else:
             lo = mid
@@ -428,30 +436,6 @@ def ball_spectrum_bounds(
     top = _ball_top(pencil, radius, tol)
     bottom = -_ball_top(pencil.negated(), radius, tol)
     return bottom, top
-
-
-def _schur_entries(
-    pencil: MatrixPencil, mu: float, depth: int
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Root resolvent block and per-color subtree blocks at a truncation depth."""
-    r = pencil.coeff_dim
-    eye = np.eye(r)
-    colors = 2 * pencil.d
-    sub = [np.linalg.inv(mu * eye - pencil.a0) for _ in range(colors)]
-    for _ in range(depth - 1):
-        fresh = []
-        for j in range(colors):
-            pivot = mu * eye - pencil.a0
-            for l in range(colors):
-                if l == star(j, pencil.d):
-                    continue
-                pivot = pivot - pencil.a[star(l, pencil.d)] @ sub[l] @ pencil.a[l]
-            fresh.append(np.linalg.inv(pivot))
-        sub = fresh
-    pivot = mu * eye - pencil.a0
-    for l in range(colors):
-        pivot = pivot - pencil.a[star(l, pencil.d)] @ sub[l] @ pencil.a[l]
-    return np.linalg.inv(pivot), sub
 
 
 def resolvent_entries(
@@ -483,7 +467,7 @@ def resolvent_entries(
         )
 
     def entries_at(depth: int) -> dict[ReducedWord, np.ndarray]:
-        root, sub = _schur_entries(pencil, mu, depth)
+        root, sub = _schur_recursion(pencil, mu, depth, np.linalg.inv)
         values: dict[ReducedWord, np.ndarray] = {}
         for word in targets:
             if word.length == 0:

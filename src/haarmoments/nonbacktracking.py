@@ -1,12 +1,13 @@
 """Finite non-backtracking operators and their companion characterization.
 
-For an even family of weights ``b_0..b_{l-1}`` with color involution
-``i <-> i*``, the non-backtracking operator places a weight block at
-color position ``(i, j)`` whenever ``j != i*``: the right variant uses
-the column weight ``b_j``, the left variant the row weight ``b_i``.  A
-complex number lies in the spectrum exactly when the companion operator
-``A(lambda)`` is singular; this module assembles both, estimates spectral
-radii, and verifies the mapping numerically.
+For an even family of weights ``b_0..b_{l-1}``, colors pair up under the
+free-group involution ``i* = freegroup.star(i, l/2) = i + l/2 mod l``.
+The non-backtracking operator places a weight block at color position
+``(i, j)`` whenever ``j != i*``: the right variant uses the column weight
+``b_j``, the left variant the row weight ``b_i``.  A complex number lies
+in the spectrum exactly when the companion operator ``A(lambda)`` is
+singular; this module assembles both, computes spectral radii by a dense
+eigensolve, and verifies the mapping numerically.
 """
 
 from __future__ import annotations
@@ -16,19 +17,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .freegroup import MatrixPencil, hat_weights
+from .freegroup import MatrixPencil, hat_weights, star
 from .symcore import CapacityError
 
 #: Dense eigensolve cap for the spectral mapping verification.
 MAX_MAPPING_DIM = 3000
-#: Default dense eigensolve cap for spectral radius computations.
-DENSE_RADIUS_CAP = 2000
 #: Near-singularity threshold for the companion's inverted blocks.
 COMPANION_SINGULAR_TOL = 1e-9
-
-
-def _color_star(color: int, ell: int) -> int:
-    return (color + ell // 2) % ell
 
 
 def _coerce_weights(weights: Sequence) -> tuple[np.ndarray, ...]:
@@ -93,7 +88,7 @@ def build_nb(weights: Sequence, side: str = "right") -> NBOperator:
     matrix = np.zeros((ell * dim, ell * dim), dtype=complex)
     for i in range(ell):
         for j in range(ell):
-            if j == _color_star(i, ell):
+            if j == star(i, ell // 2):
                 continue
             block = family[j] if side == "right" else family[i]
             matrix[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim] = block
@@ -115,7 +110,7 @@ def build_companion(
     eye = np.eye(dim)
     total = -eye.astype(complex)
     for i in range(ell):
-        pivot = lam**2 * eye - family[_color_star(i, ell)] @ family[i]
+        pivot = lam**2 * eye - family[star(i, ell // 2)] @ family[i]
         smallest = float(np.linalg.svd(pivot, compute_uv=False)[-1])
         if smallest <= tol:
             raise ValueError(
@@ -123,7 +118,7 @@ def build_companion(
                 f"(min singular value {smallest:.3e})"
             )
         inverse = np.linalg.inv(pivot)
-        total = total - family[i] @ inverse @ family[_color_star(i, ell)]
+        total = total - family[i] @ inverse @ family[star(i, ell // 2)]
         total = total + lam * family[i] @ inverse
     return CompanionOperator(lam=lam, matrix=total)
 
@@ -139,36 +134,10 @@ def power_norm(op: NBOperator, ell: int) -> float:
     return scale * float(np.linalg.norm(powered, 2)) ** (1 / ell)
 
 
-def spectral_radius(op: NBOperator, dense_cap: int = DENSE_RADIUS_CAP) -> float:
-    """Spectral radius by dense eigensolve, or norm-power doubling beyond the cap.
-
-    The fallback doubles the power until ``||B^l||^(1/l)`` moves by less
-    than a relative ``10^-3``.
-    """
-    if op.dimension <= dense_cap:
-        eigenvalues = np.linalg.eigvals(op.matrix)
-        return float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
-    scale = float(np.linalg.norm(op.matrix, 2))
-    if scale == 0.0:
-        return 0.0
-    normalized = op.matrix / scale
-    power = normalized
-    exponent = 1
-    log_norm = 0.0
-    previous = scale
-    while exponent < 2**20:
-        power = power @ power
-        exponent *= 2
-        step = float(np.linalg.norm(power, 2))
-        if step == 0.0:
-            return 0.0
-        log_norm = 2 * log_norm + np.log(step)
-        power = power / step
-        current = scale * float(np.exp(log_norm / exponent))
-        if abs(current - previous) <= 1e-3 * max(previous, 1e-30):
-            return current
-        previous = current
-    return previous
+def spectral_radius(op: NBOperator) -> float:
+    """Spectral radius ``max |lambda|`` over the dense eigenvalues of ``B``."""
+    eigenvalues = np.linalg.eigvals(op.matrix)
+    return float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -193,7 +162,7 @@ def _excluded_margin(family: tuple[np.ndarray, ...], lam: complex) -> float:
     ell = len(family)
     margin = np.inf
     for i in range(ell):
-        product = family[_color_star(i, ell)] @ family[i]
+        product = family[star(i, ell // 2)] @ family[i]
         for nu in np.linalg.eigvals(product):
             margin = min(margin, abs(lam**2 - nu))
     return float(margin)

@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from haarmoments import centered_wg
 from haarmoments.centered_wg import (
     BracketMomentSpec,
     bracket_expansion,
@@ -16,6 +18,9 @@ from haarmoments.centered_wg import (
     wg_bracket,
 )
 from haarmoments.symcore import (
+    BAR,
+    DOT,
+    CapacityError,
     EpsilonSequence,
     PairPartition,
     SetPartition,
@@ -140,6 +145,44 @@ def test_centered_moment_matches_expansion_everywhere():
             for x, y in index_pairs:
                 spec = BracketMomentSpec(pi=pi, eps=EPS4, x=x, y=y)
                 assert centered_moment(spec, n) == bracket_expansion(spec, n)
+
+
+@st.composite
+def balanced_specs(draw):
+    k = draw(st.sampled_from([2, 4]))
+    signs = draw(st.permutations([DOT, BAR] * (k // 2)))
+    indices = st.tuples(*[st.integers(1, 3)] * k)
+    return BracketMomentSpec(
+        pi=draw(st.sampled_from(all_set_partitions(k))),
+        eps=EpsilonSequence(tuple(signs)),
+        x=draw(indices),
+        y=draw(indices),
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(spec=balanced_specs(), n=st.integers(2, 6))
+def test_centered_routes_agree_on_random_specs(spec, n):
+    assert centered_moment(spec, n) == bracket_expansion(spec, n)
+
+
+def test_bracket_cap_refuses_before_any_moment(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a sub-moment was evaluated")
+
+    monkeypatch.setattr(centered_wg, "haar_moment_signed", refuse)
+    monkeypatch.setattr(centered_wg, "orth_moment", refuse)
+    nine_pairs = SetPartition(
+        tuple(frozenset({2 * t + 1, 2 * t + 2}) for t in range(9))
+    )
+    ones = (1,) * 18
+    spec = BracketMomentSpec(
+        pi=nine_pairs, eps=EpsilonSequence.from_string(".-" * 9), x=ones, y=ones
+    )
+    with pytest.raises(CapacityError):
+        bracket_expansion(spec, 20)
+    with pytest.raises(CapacityError):
+        centered_moment_orth(nine_pairs, ones, ones, 20)
 
 
 def test_restricted_block_count_cases():

@@ -264,12 +264,13 @@ class TestBallSpectrumBounds:
         assert hi == pytest.approx(1 + edge, abs=1e-6)
         assert lo == pytest.approx(1 - edge, abs=1e-6)
 
-    def test_matches_dense_ball(self):
+    @pytest.mark.parametrize("radius", [0, 1, 2, 4])
+    def test_matches_dense_ball(self, radius):
         rng = np.random.default_rng(3)
         pencil = random_selfadjoint_pencil(rng, d=2, r=2)
-        ball = build_tree_ball(pencil, 4)
+        ball = build_tree_ball(pencil, radius)
         spectrum = np.linalg.eigvalsh(ball.matrix)
-        lo, hi = ball_spectrum_bounds(pencil, 4, tol=1e-9)
+        lo, hi = ball_spectrum_bounds(pencil, radius, tol=1e-9)
         assert hi == pytest.approx(float(spectrum[-1]), abs=1e-7)
         assert lo == pytest.approx(float(spectrum[0]), abs=1e-7)
 
@@ -289,9 +290,10 @@ class TestResolventEntries:
     def test_integer_line_neighbor_entry(self):
         pencil = uniform_pencil(1)
         neighbor = ReducedWord(1, (0,))
-        entries = resolvent_entries(pencil, 3.0, [neighbor])
         expected = (1 / math.sqrt(5)) * (3 - math.sqrt(5)) / 2
-        assert entries[neighbor][0, 0].real == pytest.approx(expected, abs=1e-7)
+        for radius in (1, 32):
+            entries = resolvent_entries(pencil, 3.0, [neighbor], radius=radius)
+            assert entries[neighbor][0, 0].real == pytest.approx(expected, abs=1e-7)
 
     def test_zero_operator(self):
         pencil = uniform_pencil(1, weight=0.0)

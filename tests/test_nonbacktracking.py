@@ -135,17 +135,6 @@ class TestSpectralRadius:
         op = build_nb([1.0] * 4)
         assert spectral_radius(op) == pytest.approx(3.0, abs=1e-9)
 
-    def test_power_doubling_matches_dense(self):
-        rng = np.random.default_rng(9)
-        weights = [
-            rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            for _ in range(4)
-        ]
-        op = build_nb(weights)
-        dense = spectral_radius(op)
-        powered = spectral_radius(op, dense_cap=1)
-        assert powered == pytest.approx(dense, rel=0.02)
-
     def test_power_norm_dominates_radius(self):
         rng = np.random.default_rng(2)
         weights = [rng.standard_normal((2, 2)) for _ in range(4)]
