@@ -15,14 +15,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from ._approx import root_lower
 from .symcore import (
     CapacityError,
     EpsilonMatching,
     EpsilonSequence,
-    PairPartition,
     Permutation,
     SetPartition,
     delta_pairs,
@@ -87,9 +86,7 @@ def matching_permutation(p: EpsilonMatching, q: EpsilonMatching) -> Permutation:
     """The bijection ``q^-1 p`` on dot positions, relabeled in increasing order."""
     if p.epsilon != q.epsilon:
         raise ValueError("matchings must share the same sign sequence")
-    dots = p.epsilon.dots()
-    index = {dot: i for i, dot in enumerate(dots, start=1)}
-    return Permutation(tuple(index[q.dot_of(p.bar_of(dot))] for dot in dots))
+    return _restricted_permutation(p, q, frozenset(range(1, p.epsilon.k + 1)))
 
 
 def matching_weingarten(p: EpsilonMatching, q: EpsilonMatching, n: int) -> Fraction:
@@ -98,34 +95,15 @@ def matching_weingarten(p: EpsilonMatching, q: EpsilonMatching, n: int) -> Fract
     return wg_exact(sigma.k, n).value(sigma)
 
 
-@lru_cache(maxsize=None)
-def _respects(pairing: PairPartition, blocks: tuple[frozenset, ...]) -> bool:
-    """True when every pair of ``pairing`` lies inside a single block."""
-    return all(
-        any({a, b} <= block for block in blocks) for a, b in pairing.pairs
-    )
-
-
-def _leaves_invariant(pairing: PairPartition, block: frozenset) -> bool:
-    """True when every pair is inside ``block`` or disjoint from it."""
-    return all(
-        {a, b} <= block or not ({a, b} & block) for a, b in pairing.pairs
-    )
-
-
-def _merged_blocks(pi: SetPartition, subset: tuple[int, ...]) -> tuple[frozenset, ...]:
-    """Blocks of pi with those indexed by ``subset`` merged into one."""
-    if len(subset) <= 1:
-        return pi.blocks
-    chosen = set(subset)
-    merged = frozenset().union(*(pi.blocks[t] for t in chosen))
-    kept = tuple(b for t, b in enumerate(pi.blocks) if t not in chosen)
-    return kept + (merged,)
+def _leaves_invariant(pieces: Iterable[Iterable[int]], block: frozenset) -> bool:
+    """True when every piece is inside ``block`` or disjoint from it."""
+    return all(block.issuperset(piece) or block.isdisjoint(piece) for piece in pieces)
 
 
 def _restricted_permutation(
     p: EpsilonMatching, q: EpsilonMatching, block: frozenset
 ) -> Permutation:
+    """``q^-1 p`` on the dots of ``block``, relabeled in increasing order."""
     dots = [d for d in p.epsilon.dots() if d in block]
     index = {d: i for i, d in enumerate(dots, start=1)}
     return Permutation(tuple(index[q.dot_of(p.bar_of(d))] for d in dots))
@@ -138,66 +116,6 @@ def _validate_bracket_inputs(
         raise ValueError("matchings must share the same sign sequence")
     if pi.k != p.epsilon.k:
         raise ValueError("partition and matchings must share the ground set")
-    if len(pi.blocks) > MAX_BRACKET_BLOCKS:
-        raise CapacityError(
-            f"inclusion-exclusion over 2^T subsets is capped at T = {MAX_BRACKET_BLOCKS}"
-        )
-
-
-def wg_bracket(
-    pi: SetPartition, p: EpsilonMatching, q: EpsilonMatching, n: int
-) -> Fraction:
-    """The generalized Weingarten function Wg[pi](p, q, n).
-
-    Inclusion-exclusion over subsets ``A`` of blocks: each term is the
-    product of plain Weingarten values over the blocks of pi with the
-    ``A``-blocks merged, and vanishes unless both matchings respect that
-    merged partition.
-    """
-    _validate_bracket_inputs(pi, p, q)
-    k = pi.k
-    if k // 2 > n:
-        raise UnsupportedRegimeError(
-            f"Weingarten factors need k/2 <= n; got k={k}, n={n}"
-        )
-    block_count = len(pi.blocks)
-    total = Fraction(0)
-    for size in range(block_count + 1):
-        sign = (-1) ** (block_count - size)
-        for subset in itertools.combinations(range(block_count), size):
-            blocks = _merged_blocks(pi, subset)
-            if not (_respects(p.pairing, blocks) and _respects(q.pairing, blocks)):
-                continue
-            term = Fraction(1)
-            for block in blocks:
-                sigma = _restricted_permutation(p, q, block)
-                term *= wg_exact(sigma.k, n).value(sigma)
-            total += sign * term
-    return total
-
-
-def restricted_block_count(
-    pi: SetPartition, p: EpsilonMatching, q: EpsilonMatching
-) -> int:
-    """Number of blocks of ``pi`` that are unions of blocks of ``p v q``."""
-    _validate_bracket_inputs(pi, p, q)
-    joined = join(p.pairing.as_set_partition(), q.pairing.as_set_partition())
-    count = 0
-    for block in pi.blocks:
-        if all(piece <= block or not (piece & block) for piece in joined.blocks):
-            count += 1
-    return count
-
-
-def centered_wg_value(
-    pi: SetPartition, p: EpsilonMatching, q: EpsilonMatching, n: int
-) -> CenteredWgValue:
-    return CenteredWgValue(
-        p=p,
-        q=q,
-        value=wg_bracket(pi, p, q, n),
-        restricted_block_count=restricted_block_count(pi, p, q),
-    )
 
 
 def _inclusion_exclusion(
@@ -206,7 +124,8 @@ def _inclusion_exclusion(
     """``sum_A (-1)^(T-|A|) m(union of A) prod_{t not in A} m(B_t)``.
 
     ``A`` runs over subsets of the ``T`` blocks and ``m`` is ``sub_moment``
-    evaluated on sorted positions.  A term stops at its first zero factor.
+    evaluated on sorted positions; the empty product ``m(())`` is 1 and is
+    never asked for.  A term stops at its first zero factor.
     """
     block_count = len(blocks)
     if block_count > MAX_BRACKET_BLOCKS:
@@ -221,7 +140,7 @@ def _inclusion_exclusion(
             merged = tuple(
                 sorted(itertools.chain.from_iterable(blocks[t] for t in chosen))
             )
-            term = sub_moment(merged)
+            term = sub_moment(merged) if merged else Fraction(1)
             if term == 0:
                 continue
             for t, block in enumerate(blocks):
@@ -231,6 +150,55 @@ def _inclusion_exclusion(
                         break
             total += sign * term
     return total
+
+
+@lru_cache(maxsize=None)
+def wg_bracket(
+    pi: SetPartition, p: EpsilonMatching, q: EpsilonMatching, n: int
+) -> Fraction:
+    """The generalized Weingarten function Wg[pi](p, q, n).
+
+    Inclusion-exclusion over subsets of blocks, whose sub-moment on a union
+    ``S`` of blocks is the plain Weingarten value of ``q^-1 p`` restricted
+    to ``S`` when both matchings leave ``S`` invariant, and 0 otherwise.
+    Memoised on its (hashable) arguments.
+    """
+    _validate_bracket_inputs(pi, p, q)
+    k = pi.k
+    if k // 2 > n:
+        raise UnsupportedRegimeError(
+            f"Weingarten factors need k/2 <= n; got k={k}, n={n}"
+        )
+    pairs = p.pairing.pairs + q.pairing.pairs
+
+    def sub_moment(positions: tuple[int, ...]) -> Fraction:
+        block = frozenset(positions)
+        if not _leaves_invariant(pairs, block):
+            return Fraction(0)
+        sigma = _restricted_permutation(p, q, block)
+        return wg_exact(sigma.k, n).value(sigma)
+
+    return _inclusion_exclusion(pi.blocks, sub_moment)
+
+
+def restricted_block_count(
+    pi: SetPartition, p: EpsilonMatching, q: EpsilonMatching
+) -> int:
+    """Number of blocks of ``pi`` that are unions of blocks of ``p v q``."""
+    _validate_bracket_inputs(pi, p, q)
+    joined = join(p.pairing.as_set_partition(), q.pairing.as_set_partition())
+    return sum(1 for block in pi.blocks if _leaves_invariant(joined.blocks, block))
+
+
+def centered_wg_value(
+    pi: SetPartition, p: EpsilonMatching, q: EpsilonMatching, n: int
+) -> CenteredWgValue:
+    return CenteredWgValue(
+        p=p,
+        q=q,
+        value=wg_bracket(pi, p, q, n),
+        restricted_block_count=restricted_block_count(pi, p, q),
+    )
 
 
 def bracket_expansion(spec: BracketMomentSpec, n: int) -> Fraction:
@@ -320,17 +288,15 @@ def restricted_hurwitz_count(
             f"factorization length {length} exceeds the depth cap {MAX_HURWITZ_DEPTH}"
         )
     dots = p.epsilon.dots()
+    pairs = p.pairing.pairs + q.pairing.pairs
     invariant_under_both = [
-        block
-        for block in pi.blocks
-        if _leaves_invariant(p.pairing, block) and _leaves_invariant(q.pairing, block)
+        block for block in pi.blocks if _leaves_invariant(pairs, block)
     ]
     count = 0
     for solution in _factorization_solutions(sigma.images, length, 1):
         relabeled = [(dots[i - 1], dots[j - 1]) for i, j in solution]
         confined = any(
-            all({a, b} <= block or not ({a, b} & block) for a, b in relabeled)
-            for block in invariant_under_both
+            _leaves_invariant(relabeled, block) for block in invariant_under_both
         )
         if not confined:
             count += 1

@@ -57,9 +57,9 @@ from .symcore import (
     DOT,
     CapacityError,
     EpsilonSequence,
-    SetPartition,
     all_permutations,
     cycle_type,
+    enumerate_set_partitions,
 )
 from .weingarten import (
     UnsupportedRegimeError,
@@ -131,18 +131,6 @@ def _load_pencil(path: str) -> MatrixPencil:
     a0 = _matrix_from_json(data["a0"]) if "a0" in data else np.zeros((r, r), dtype=complex)
     family = tuple(_matrix_from_json(entry) for entry in data["a"])
     return MatrixPencil(d=d, coeff_dim=r, a0=a0, a=family)
-
-
-def _set_partitions(k: int) -> list[SetPartition]:
-    if k == 0:
-        return [SetPartition(())]
-    out = []
-    for smaller in _set_partitions(k - 1):
-        blocks = smaller.blocks
-        out.append(SetPartition(blocks + (frozenset([k]),)))
-        for i, block in enumerate(blocks):
-            out.append(SetPartition(blocks[:i] + (block | {k},) + blocks[i + 1 :]))
-    return out
 
 
 def _all_epsilons(k: int) -> list[EpsilonSequence]:
@@ -232,7 +220,7 @@ def _read_cached_table(
 
 def _cmd_centered_check(args: argparse.Namespace, seed: int) -> tuple[bytes, int]:
     k, n = args.k, args.n
-    partitions = _set_partitions(k)
+    partitions = enumerate_set_partitions(k)
     balanced = [eps for eps in _all_epsilons(k) if eps.is_balanced()]
     indices = _index_tuples(k)
     cases = 0
@@ -290,7 +278,7 @@ def _cmd_gauss_compare(args: argparse.Namespace, seed: int) -> tuple[bytes, int]
     entries = []
     if args.brackets:
         grids = itertools.product(
-            _set_partitions(k),
+            enumerate_set_partitions(k),
             [eps for eps in _all_epsilons(k) if eps.is_balanced()],
             indices,
             indices,
@@ -393,18 +381,24 @@ def _cmd_freeness(args: argparse.Namespace, seed: int) -> tuple[bytes, int]:
     pencil_path = Path(config["pencil"])
     if not pencil_path.is_absolute():
         pencil_path = config_path.parent / pencil_path
+    sizes = config["n"]
+    d, q_minus, q_plus = (config[key] for key in ("d", "q_minus", "q_plus"))
+    if not isinstance(sizes, list) or any(
+        type(value) is not int for value in [*sizes, d, q_minus, q_plus]
+    ):
+        raise ValueError('config "n" must list integers; "d", "q_minus", "q_plus" be integers')
     pencil = _load_pencil(str(pencil_path))
     configs = [
         ModelConfig(
-            n=int(n),
-            d=int(config["d"]),
-            q_minus=int(config["q_minus"]),
-            q_plus=int(config["q_plus"]),
+            n=n,
+            d=d,
+            q_minus=q_minus,
+            q_plus=q_plus,
             coeff_dim=pencil.coeff_dim,
             pencil=pencil,
             seed=seed,
         )
-        for n in config["n"]
+        for n in sizes
     ]
     table = freeness_experiment(configs, trials=args.trials, threads=args.threads)
     lines = ["n,trial,seed,restricted_norm,astar_estimate,deviation,wall_time_ms"]
@@ -502,7 +496,7 @@ def _check_catalan() -> tuple[bool, str]:
 def _check_centered() -> tuple[bool, str]:
     n = 5
     cases = 0
-    for pi in _set_partitions(2):
+    for pi in enumerate_set_partitions(2):
         for eps in _all_epsilons(2):
             if not eps.is_balanced():
                 continue

@@ -23,6 +23,8 @@ BAR = "-"
 MAX_PAIR_ENUMERATION = 12
 #: Largest degree for which all_permutations will enumerate S_k (k! growth).
 MAX_SYMMETRIC_DEGREE = 8
+#: Largest k for which enumerate_set_partitions will run (Bell-number growth).
+MAX_SET_PARTITION_ENUMERATION = 10
 
 
 class CapacityError(ValueError):
@@ -240,6 +242,28 @@ class SetPartition:
         return all(
             any(block <= mine for mine in self.blocks) for block in other.blocks
         )
+
+
+def enumerate_set_partitions(k: int) -> list[SetPartition]:
+    """All B_k (Bell number) set partitions of ``{1..k}``, each partition of
+    ``{1..k-1}`` extended by ``{k}`` and then by ``k`` joining each block.
+
+    ``k`` beyond the enumeration cap raises :class:`CapacityError`.
+    """
+    if k > MAX_SET_PARTITION_ENUMERATION:
+        raise CapacityError(
+            f"B_k set partitions at k = {k}; enumeration is capped at"
+            f" k = {MAX_SET_PARTITION_ENUMERATION}"
+        )
+    if k == 0:
+        return [SetPartition(())]
+    out = []
+    for smaller in enumerate_set_partitions(k - 1):
+        blocks = smaller.blocks
+        out.append(SetPartition(blocks + (frozenset([k]),)))
+        for i, block in enumerate(blocks):
+            out.append(SetPartition(blocks[:i] + (block | {k},) + blocks[i + 1 :]))
+    return out
 
 
 def join(p: SetPartition, q: SetPartition) -> SetPartition:

@@ -19,6 +19,7 @@ from functools import lru_cache
 from math import comb, isqrt
 
 from .symcore import (
+    MAX_SYMMETRIC_DEGREE,
     CapacityError,
     EpsilonSequence,
     PairPartition,
@@ -144,6 +145,10 @@ def wg_exact(k: int, n: int) -> WeingartenTable:
     """
     if k < 1:
         raise ValueError("degree must be positive")
+    if k > MAX_SYMMETRIC_DEGREE:
+        raise CapacityError(
+            f"the Gram solve walks S_{k}; it is capped at k = {MAX_SYMMETRIC_DEGREE}"
+        )
     if k > n:
         raise UnsupportedRegimeError(
             f"Weingarten values are uniquely defined only for k <= n; got k={k}, n={n}"

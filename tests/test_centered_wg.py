@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from haarmoments.symcore import (
     BAR,
     DOT,
     CapacityError,
+    EpsilonMatching,
     EpsilonSequence,
     PairPartition,
     SetPartition,
@@ -93,6 +95,62 @@ def test_wg_bracket_nonrespecting_pair_reduces_to_plain():
 def test_wg_bracket_two_blocks_identity_matchings():
     for n in (2, 3, 7, 12):
         assert wg_bracket(PI_22, P_ID, P_ID, n) == Fraction(1, n**2 * (n**2 - 1))
+
+
+def _leaves(pairing, block):
+    return all(set(pair) <= block or not set(pair) & block for pair in pairing.pairs)
+
+
+def _restrict(m, block):
+    """The matching ``m`` on the positions of an invariant ``block``, relabeled."""
+    positions = sorted(block)
+    label = {l: i for i, l in enumerate(positions, start=1)}
+    eps = EpsilonSequence(tuple(m.epsilon.signs[l - 1] for l in positions))
+    pairs = tuple(
+        (label[a], label[b]) for a, b in m.pairing.pairs if a in block
+    )
+    return EpsilonMatching(eps, PairPartition(pairs))
+
+
+def _two_block_closed_form(pi, p, q, n):
+    """Wg[pi] for pi = {B1, B2}: Wg(p, q) minus Wg(p_B1, q_B1) Wg(p_B2, q_B2)
+    when both matchings leave B1 invariant."""
+    value = matching_weingarten(p, q, n)
+    first, second = pi.blocks
+    if _leaves(p.pairing, first) and _leaves(q.pairing, first):
+        value -= matching_weingarten(
+            _restrict(p, first), _restrict(q, first), n
+        ) * matching_weingarten(_restrict(p, second), _restrict(q, second), n)
+    return value
+
+
+def test_wg_bracket_matches_two_block_closed_form():
+    for k in (4, 6):
+        partitions = [pi for pi in all_set_partitions(k) if len(pi.blocks) == 2]
+        sequences = [
+            EpsilonSequence(signs)
+            for signs in sorted(set(itertools.permutations([DOT, BAR] * (k // 2))))
+        ]
+        for n in (3, 4, 6):
+            for pi in partitions:
+                for eps in sequences:
+                    matchings = epsilon_matchings(eps)
+                    for p in matchings:
+                        for q in matchings:
+                            assert wg_bracket(pi, p, q, n) == _two_block_closed_form(
+                                pi, p, q, n
+                            )
+
+
+def test_empty_ground_set_is_the_empty_product():
+    empty = SetPartition(())
+    eps = EpsilonSequence(())
+    (m,) = epsilon_matchings(eps)
+    spec = BracketMomentSpec(pi=empty, eps=eps, x=(), y=())
+    for n in (1, 4):
+        assert wg_bracket(empty, m, m, n) == 1
+        assert bracket_expansion(spec, n) == 1
+        assert centered_moment_orth(empty, (), (), n) == 1
 
 
 def test_wg_bracket_regime_guard():
@@ -172,17 +230,19 @@ def test_bracket_cap_refuses_before_any_moment(monkeypatch):
 
     monkeypatch.setattr(centered_wg, "haar_moment_signed", refuse)
     monkeypatch.setattr(centered_wg, "orth_moment", refuse)
-    nine_pairs = SetPartition(
-        tuple(frozenset({2 * t + 1, 2 * t + 2}) for t in range(9))
-    )
+    monkeypatch.setattr(centered_wg, "wg_exact", refuse)
+    pairs = tuple((2 * t + 1, 2 * t + 2) for t in range(9))
+    nine_pairs = SetPartition(tuple(frozenset(pair) for pair in pairs))
+    eps = EpsilonSequence.from_string(".-" * 9)
     ones = (1,) * 18
-    spec = BracketMomentSpec(
-        pi=nine_pairs, eps=EpsilonSequence.from_string(".-" * 9), x=ones, y=ones
-    )
+    spec = BracketMomentSpec(pi=nine_pairs, eps=eps, x=ones, y=ones)
     with pytest.raises(CapacityError):
         bracket_expansion(spec, 20)
     with pytest.raises(CapacityError):
         centered_moment_orth(nine_pairs, ones, ones, 20)
+    p = EpsilonMatching(eps, PairPartition(pairs))
+    with pytest.raises(CapacityError):
+        wg_bracket(nine_pairs, p, p, 20)
 
 
 def test_restricted_block_count_cases():

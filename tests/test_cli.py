@@ -66,6 +66,11 @@ class TestWgTable:
         assert payload["values"]["1,1"] == "1/24"
         assert payload["values"]["2"] == "-1/120"
 
+    def test_degree_above_symmetric_cap_exits_two(self):
+        proc = run_cli("wg-table", "--k", "9", "--n", "9")
+        assert proc.returncode == 2
+        assert b"capped" in proc.stderr
+
     def test_orthogonal_table(self):
         proc = run_cli("wg-table", "--k", "4", "--n", "4", "--orthogonal")
         assert proc.returncode == 0
@@ -229,6 +234,19 @@ class TestFreeness:
             )
         )
         return config
+
+    @pytest.mark.parametrize(
+        "key, value", [("n", 6), ("n", [6, "8"]), ("d", 2.0), ("q_plus", True)]
+    )
+    def test_malformed_config_exits_two(self, tmp_path, key, value):
+        config = self.write_config(tmp_path)
+        data = json.loads(config.read_text())
+        data[key] = value
+        config.write_text(json.dumps(data))
+        proc = run_cli("freeness", "--config", str(config), "--trials", "1")
+        assert proc.returncode == 2
+        assert b"error:" in proc.stderr
+        assert b"Traceback" not in proc.stderr
 
     def test_csv_shape_and_config_seed(self, tmp_path):
         config = self.write_config(tmp_path, seed=5)

@@ -15,6 +15,7 @@ from haarmoments.symcore import (
     cycle_type,
     delta_perm,
     enumerate_pair_partitions,
+    enumerate_set_partitions,
     epsilon_matchings,
     join,
     permutation_from_cycle_type,
@@ -90,6 +91,20 @@ def test_pair_partition_odd_is_empty():
 def test_pair_partition_cap():
     with pytest.raises(CapacityError):
         enumerate_pair_partitions(14)
+
+
+def test_set_partition_bell_counts():
+    assert enumerate_set_partitions(0) == [SetPartition(())]
+    for k, bell in enumerate([1, 1, 2, 5, 15, 52]):
+        partitions = enumerate_set_partitions(k)
+        assert len(partitions) == bell
+        assert len(set(partitions)) == bell
+        assert all(pi.k == k for pi in partitions)
+
+
+def test_set_partition_cap():
+    with pytest.raises(CapacityError):
+        enumerate_set_partitions(11)
 
 
 def test_symmetric_group_cap():

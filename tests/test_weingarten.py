@@ -54,6 +54,11 @@ def test_wg_rejects_k_above_n():
         wg_exact(3, 2)
 
 
+def test_wg_capacity():
+    with pytest.raises(CapacityError):
+        wg_exact(9, 9)
+
+
 def test_wg_gram_inverse_identity():
     for k in (1, 2, 3, 4):
         group = all_permutations(k)
