@@ -118,19 +118,31 @@ def _matrix_to_json(matrix: np.ndarray) -> list:
 
 
 def _matrix_from_json(data: object) -> np.ndarray:
-    arr = np.array(data, dtype=float)
+    message = "matrix entries must be [re, im] pairs in a rectangular grid"
+    try:
+        arr = np.array(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(message) from exc
     if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ValueError("matrix entries must be [re, im] pairs in a rectangular grid")
+        raise ValueError(message)
     return arr[:, :, 0] + 1j * arr[:, :, 1]
+
+
+def _matrices_from_json(data: object, what: str) -> tuple[np.ndarray, ...]:
+    if not isinstance(data, list):
+        raise ValueError(f"{what} must be a JSON list of matrices")
+    return tuple(_matrix_from_json(entry) for entry in data)
 
 
 def _load_pencil(path: str) -> MatrixPencil:
     data = json.loads(Path(path).read_text())
-    d = int(data["d"])
-    r = int(data["coeff_dim"])
+    if not isinstance(data, dict):
+        raise ValueError('pencil file must be a JSON object with "d", "coeff_dim" and "a"')
+    d, r = data["d"], data["coeff_dim"]
+    if type(d) is not int or type(r) is not int:
+        raise ValueError('pencil "d" and "coeff_dim" must be integers')
     a0 = _matrix_from_json(data["a0"]) if "a0" in data else np.zeros((r, r), dtype=complex)
-    family = tuple(_matrix_from_json(entry) for entry in data["a"])
-    return MatrixPencil(d=d, coeff_dim=r, a0=a0, a=family)
+    return MatrixPencil(d=d, coeff_dim=r, a0=a0, a=_matrices_from_json(data["a"], 'pencil "a"'))
 
 
 def _all_epsilons(k: int) -> list[EpsilonSequence]:
@@ -349,7 +361,7 @@ def _parse_grid(text: str) -> list[float]:
 def _cmd_nb_spectrum(args: argparse.Namespace, seed: int) -> tuple[bytes, int]:
     data = json.loads(Path(args.weights).read_text())
     raw = data["weights"] if isinstance(data, dict) else data
-    weights = tuple(_matrix_from_json(entry) for entry in raw)
+    weights = _matrices_from_json(raw, "weights")
     op = build_nb(weights, side=args.side)
     if op.dimension > MAX_MAPPING_DIM:
         raise CapacityError(
@@ -420,15 +432,18 @@ def _infer_generator_count(words: Sequence[Sequence[int]]) -> int:
 
 def _cmd_linearize(args: argparse.Namespace, seed: int) -> tuple[bytes, int]:
     data = json.loads(Path(args.poly).read_text())
-    if not isinstance(data, list):
+    if not isinstance(data, list) or not all(isinstance(entry, dict) for entry in data):
         raise ValueError("polynomial file must be a JSON list of {word, matrix}")
-    inferred = _infer_generator_count([entry["word"] for entry in data])
+    words = [entry["word"] for entry in data]
+    if not all(isinstance(word, list) and all(type(l) is int for l in word) for word in words):
+        raise ValueError('each "word" must be a JSON list of integer letters')
+    inferred = _infer_generator_count(words)
     d = args.d if args.d is not None else inferred
     if d < inferred:
         raise ValueError(f"--d {d} too small for the letters present (need {inferred})")
     coeffs = {}
-    for entry in data:
-        w = ReducedWord(d, tuple(int(l) for l in entry["word"]))
+    for word, entry in zip(words, data):
+        w = ReducedWord(d, tuple(word))
         coeffs[w] = coeffs.get(w, 0) + _matrix_from_json(entry["matrix"])
     poly = GroupPolynomial(d, coeffs)
     support = symmetric_ball(d, (poly.degree + 1) // 2)

@@ -1,13 +1,13 @@
 """Exact Weingarten calculus for Haar unitary and orthogonal matrices.
 
 The Weingarten function is realized by exact Gram-matrix inversion over
-arbitrary-precision rationals: the matrix ``[Wg(pq^-1, n)]`` indexed by the
-symmetric group is the inverse of the Gram matrix ``[n^(number of cycles of
-pq^-1)]``.  Because the function is central, the linear system collapses to
-one unknown per cycle type, which keeps exact solves cheap.  The monomial
-expansion of Wg in powers of ``1/n``, with coefficients counting constrained
-transposition factorizations, is implemented independently and serves as a
-cross-check rather than as the definition.
+arbitrary-precision rationals: ``[Wg(pq^-1, n)]`` over S_k inverts
+``[n^(cycles of pq^-1)]``, and ``[Wg_O(p, q, n)]`` over pair partitions
+inverts ``[n^(blocks of p v q)]``.  One centralized solve serves both groups
+with one unknown per cycle type or coset type.  The monomial expansion of Wg
+in powers of ``1/n``, with coefficients counting constrained transposition
+factorizations, is implemented independently and serves as a cross-check
+rather than as the definition.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
+from typing import Callable, Hashable, Sequence
 
 from .symcore import (
     MAX_SYMMETRIC_DEGREE,
@@ -30,14 +31,13 @@ from .symcore import (
     delta_pairs,
     enumerate_pair_partitions,
     join,
-    permutation_from_cycle_type,
     transposition_distance,
 )
 
 #: Largest total transposition count |sigma| + l that hurwitz_count will explore.
 MAX_HURWITZ_DEPTH = 16
-#: Largest even degree for which the orthogonal Gram matrix is inverted
-#: ((k-1)!! square system; 105 x 105 at the cap).
+#: Largest even degree for orthogonal tables and moments: orth_moment sums
+#: over all (k-1)!!^2 pairs of pair partitions (105^2 at the cap, 945^2 at 10).
 MAX_ORTHOGONAL_DEGREE = 8
 
 
@@ -128,13 +128,37 @@ class WeingartenTable:
         return self.value(p.compose(q.invert()))
 
 
+def _central_gram_solve(
+    elements: Sequence, type_of: Callable, overlap: Callable[..., int], n: int
+) -> dict[Hashable, Fraction]:
+    """The Weingarten column of the base ``elements[0]``, one unknown per type.
+
+    Solves ``sum_t n^overlap(rep, t) W[type_of(t)] = [rep is the base]`` with
+    one row per type, ``rep`` its first element.  The Gram matrix commutes
+    with the group acting on ``elements``, so the full inverse is constant on
+    types, and a nonzero kernel always holds a type-constant vector: this
+    system is singular exactly when the full one is.
+    """
+    types = [type_of(element) for element in elements]
+    first: dict[Hashable, object] = {}
+    for element, key in zip(elements, types):
+        first.setdefault(key, element)
+    column = {key: c for c, key in enumerate(first)}
+    matrix = [[0] * len(first) for _ in first]
+    for row, rep in zip(matrix, first.values()):
+        for element, key in zip(elements, types):
+            row[column[key]] += n ** overlap(rep, element)
+    rhs = [int(rep == elements[0]) for rep in first.values()]
+    return dict(zip(first, _solve_fraction_free(matrix, rhs)))
+
+
 @lru_cache(maxsize=None)
 def wg_exact(k: int, n: int) -> WeingartenTable:
     """Exact Weingarten table for degree ``k`` and dimension ``n``.
 
-    Solves the centralized Gram system: for each cycle type ``ct`` with
+    Solves the centralized Gram system: for each cycle type with first
     representative ``sigma``, ``sum_tau n^(cycles(sigma tau^-1)) Wg(tau, n)``
-    is 1 when ``ct`` is the identity type and 0 otherwise.
+    is 1 when ``sigma`` is the identity and 0 otherwise.
 
     Raises
     ------
@@ -153,24 +177,15 @@ def wg_exact(k: int, n: int) -> WeingartenTable:
         raise UnsupportedRegimeError(
             f"Weingarten values are uniquely defined only for k <= n; got k={k}, n={n}"
         )
-    types = _integer_partitions(k)
-    representatives = [permutation_from_cycle_type(ct).images for ct in types]
-    identity_type = (1,) * k
-
-    counts = {ct: [0] * len(types) for ct in types}
-    type_index = {ct: i for i, ct in enumerate(types)}
-    for images in itertools.permutations(range(1, k + 1)):
-        tau = Permutation(images)
-        column = type_index[cycle_type(tau)]
-        inverse = tau.invert().images
-        for row, rep in enumerate(representatives):
-            cycles = _cycle_count_of_composition(rep, inverse)
-            counts[types[row]][column] += n**cycles
-
-    matrix = [counts[ct] for ct in types]
-    rhs = [1 if ct == identity_type else 0 for ct in types]
-    solution = _solve_fraction_free(matrix, rhs)
-    return WeingartenTable(k=k, n=n, values=dict(zip(types, solution)))
+    # Summing over tau^-1 instead of tau keeps each cycle type and turns the
+    # overlap into cycles(sigma tau), so the one-line images need no inverse.
+    values = _central_gram_solve(
+        list(itertools.permutations(range(1, k + 1))),
+        lambda images: cycle_type(Permutation(images)),
+        _cycle_count_of_composition,
+        n,
+    )
+    return WeingartenTable(k=k, n=n, values=values)
 
 
 @dataclass(frozen=True)
@@ -433,46 +448,34 @@ class OrthWeingartenTable:
 
 @lru_cache(maxsize=None)
 def wg_orth_exact(k: int, n: int) -> OrthWeingartenTable:
-    """Exact orthogonal Weingarten table by Gram inversion over pair partitions.
+    """Exact orthogonal Weingarten table by the centralized Gram solve.
 
-    The Gram matrix has entries ``n^(number of blocks of the join)``; its
-    inverse collects the values ``Wg_O(p, q, n)``, which are then verified to
-    depend only on the coset type and stored by that key.
+    The same solve as :func:`wg_exact`, over pair partitions: with ``base``
+    the first pair partition, ``sum_r n^(blocks of p v r) Wg_O(r, base, n)``
+    is 1 when ``p`` is the base and 0 otherwise, one equation and one
+    unknown per coset type of ``(r, base)``.
 
     Raises
     ------
     UnsupportedRegimeError
         When the Gram matrix is singular (it is invertible whenever n >= k).
     CapacityError
-        When ``k`` exceeds the inversion cap.
+        When ``k`` exceeds the orthogonal degree cap.
     """
     if k % 2 != 0 or k < 2:
         raise ValueError("degree must be a positive even integer")
     if k > MAX_ORTHOGONAL_DEGREE:
         raise CapacityError(
-            f"orthogonal Gram inversion is capped at k = {MAX_ORTHOGONAL_DEGREE}"
+            f"orthogonal Weingarten tables are capped at k = {MAX_ORTHOGONAL_DEGREE}"
         )
     partitions = enumerate_pair_partitions(k)
-    size = len(partitions)
-    joined_blocks = [
-        [
-            len(join(p.as_set_partition(), q.as_set_partition()).blocks)
-            for q in partitions
-        ]
-        for p in partitions
-    ]
-    gram = [[n**blocks for blocks in row] for row in joined_blocks]
-    values: dict[tuple[int, ...], Fraction] = {}
-    for column in range(size):
-        rhs = [1 if row == column else 0 for row in range(size)]
-        inverse_column = _solve_fraction_free([row[:] for row in gram], rhs)
-        for row in range(size):
-            key = coset_type(partitions[row], partitions[column])
-            if key in values and values[key] != inverse_column[row]:
-                raise AssertionError(
-                    "orthogonal Weingarten value is not a coset-type invariant"
-                )
-            values[key] = inverse_column[row]
+    base = partitions[0]
+    values = _central_gram_solve(
+        partitions,
+        lambda r: coset_type(r, base),
+        lambda p, r: len(coset_type(p, r)),
+        n,
+    )
     return OrthWeingartenTable(k=k, n=n, values=values)
 
 

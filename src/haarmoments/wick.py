@@ -269,6 +269,20 @@ def _float_leq(lhs: float, rhs: float) -> bool:
     return lhs <= rhs + COMPARISON_SLACK * max(1.0, abs(rhs))
 
 
+def _report(
+    check: str, k: int, n: int, lhs_exact: Fraction, rhs: float, even: bool,
+    vanishing_ok: Optional[bool],
+) -> ComparisonReport:
+    """A finished comparison: it passes when ``lhs <= rhs`` up to the slack
+    and the vanishing claim, where one is checked, holds."""
+    lhs = float(lhs_exact)
+    return ComparisonReport(
+        check=check, k=k, n=n, lhs_exact=lhs_exact, lhs=lhs, rhs=rhs, margin=rhs - lhs,
+        passes=_float_leq(lhs, rhs) and vanishing_ok is not False,
+        even=even, vanishing_ok=vanishing_ok,
+    )
+
+
 def check_warmup(
     x: tuple[int, ...], y: tuple[int, ...], eps: EpsilonSequence, n: int
 ) -> ComparisonReport:
@@ -294,19 +308,7 @@ def check_warmup(
         GaussianMomentSpec(x=x, y=y, eps=eps, shift=shift)
     )
     rhs = (1 + 3 * k**3.5 / n**2) * rhs_raw
-    lhs = float(lhs_exact)
-    return ComparisonReport(
-        check="warmup",
-        k=k,
-        n=n,
-        lhs_exact=lhs_exact,
-        lhs=lhs,
-        rhs=rhs,
-        margin=rhs - lhs,
-        passes=_float_leq(lhs, rhs) and vanishing_ok,
-        even=stats.even,
-        vanishing_ok=vanishing_ok,
-    )
+    return _report("warmup", k, n, lhs_exact, rhs, stats.even, vanishing_ok)
 
 
 def bracket_shift(k: int, max_block: int, n: int, mixed_blocks: bool) -> float:
@@ -344,19 +346,7 @@ def check_with_brackets(spec: BracketMomentSpec, n: int) -> ComparisonReport:
         GaussianMomentSpec(x=spec.x, y=spec.y, eps=spec.eps, shift=shift, pi=spec.pi)
     )
     rhs = (1 + 3 * k**3.5 / n**2) * rhs_raw
-    lhs = float(lhs_exact)
-    return ComparisonReport(
-        check="with-brackets",
-        k=k,
-        n=n,
-        lhs_exact=lhs_exact,
-        lhs=lhs,
-        rhs=rhs,
-        margin=rhs - lhs,
-        passes=_float_leq(lhs, rhs) and vanishing_ok,
-        even=stats.even,
-        vanishing_ok=vanishing_ok,
-    )
+    return _report("with-brackets", k, n, lhs_exact, rhs, stats.even, vanishing_ok)
 
 
 def check_cor_wg2(
@@ -386,15 +376,4 @@ def check_cor_wg2(
         * eta ** (stats.b + stats.e1 / q)
         * k ** (stats.m4 / 2)
     )
-    lhs = float(lhs_exact)
-    return ComparisonReport(
-        check="cor-wg2",
-        k=k,
-        n=n,
-        lhs_exact=lhs_exact,
-        lhs=lhs,
-        rhs=rhs,
-        margin=rhs - lhs,
-        passes=_float_leq(lhs, rhs),
-        even=stats.even,
-    )
+    return _report("cor-wg2", k, n, lhs_exact, rhs, stats.even, vanishing_ok=None)

@@ -58,6 +58,30 @@ class TestUsageErrors:
         assert proc.returncode == 2
 
 
+class TestMalformedInputFiles:
+    ENTRY = [[[1.0, 0.0]]]
+
+    @pytest.mark.parametrize(
+        "command, flag, content, extra",
+        [
+            ("free-norm", "--pencil", {"d": 2, "coeff_dim": 1, "a": 5}, ["--m", "4"]),
+            ("free-norm", "--pencil", [ENTRY] * 4, ["--m", "4"]),
+            ("nb-spectrum", "--weights", {"weights": 5}, ["--lambda-grid", "0.5:1.0:0.5"]),
+            ("linearize", "--poly", [5], []),
+            ("linearize", "--poly", [{"word": 3, "matrix": ENTRY}], []),
+        ],
+        ids=["pencil-a-int", "pencil-top-level-list", "weights-int", "poly-int-entry",
+             "poly-int-word"],
+    )
+    def test_malformed_file_exits_two(self, tmp_path, command, flag, content, extra):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        proc = run_cli(command, flag, str(path), *extra)
+        assert proc.returncode == 2
+        assert b"error:" in proc.stderr
+        assert b"Traceback" not in proc.stderr
+
+
 class TestWgTable:
     def test_degree_two_closed_forms_at_n_five(self):
         proc = run_cli("wg-table", "--k", "2", "--n", "5")

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from haarmoments.symcore import (
     CapacityError,
@@ -74,6 +75,27 @@ def test_wg_gram_inverse_identity():
                 for j in range(size):
                     entry = sum(gram[i][m] * wg[m][j] for m in range(size))
                     assert entry == (1 if i == j else 0)
+
+
+@st.composite
+def _degree_dimension_permutation(draw):
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(k, 10))
+    images = draw(st.permutations(range(1, k + 1)))
+    return k, n, Permutation(tuple(images))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_degree_dimension_permutation())
+def test_wg_orthogonality_property(case):
+    # sum_tau Wg(sigma tau^-1, n) n^#(tau) = [sigma = e], one row of Wg * Gram = 1.
+    k, n, sigma = case
+    table = wg_exact(k, n)
+    total = sum(
+        table.value(sigma.compose(tau.invert())) * n ** len(tau.cycles())
+        for tau in all_permutations(k)
+    )
+    assert total == (1 if sigma == Permutation.identity(k) else 0)
 
 
 def test_wg_centrality():
@@ -228,6 +250,47 @@ def test_orth_gram_inverse_identity():
                     for m in range(len(partitions))
                 )
                 assert entry == (1 if i == j else 0)
+
+
+def _is_singular(matrix):
+    """Rank test by plain Gaussian elimination over the rationals."""
+    rows = [[Fraction(entry) for entry in row] for row in matrix]
+    size = len(rows)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col] != 0), None)
+        if pivot is None:
+            return True
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(col + 1, size):
+            factor = rows[r][col] / rows[col][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return False
+
+
+def test_orth_singular_regime_matches_full_gram():
+    for k in (2, 4, 6):
+        partitions = enumerate_pair_partitions(k)
+        blocks = [[len(coset_type(p, q)) for q in partitions] for p in partitions]
+        for n in range(1, k + 1):
+            singular = _is_singular([[n**b for b in row] for row in blocks])
+            if singular:
+                with pytest.raises(UnsupportedRegimeError):
+                    wg_orth_exact(k, n)
+            else:
+                wg_orth_exact(k, n)
+
+
+def test_orth_degree_eight_column_identity():
+    # sum_r n^(#blocks(p v r)) Wg_O(r, base, n) = [p = base] for all 105 matchings p.
+    partitions = enumerate_pair_partitions(8)
+    base = partitions[0]
+    blocks = [[len(coset_type(p, r)) for r in partitions] for p in partitions]
+    for n in (4, 8):
+        table = wg_orth_exact(8, n)
+        column = [table.value(r, base) for r in partitions]
+        for i, row in enumerate(blocks):
+            entry = sum(n**b * value for b, value in zip(row, column))
+            assert entry == (1 if i == 0 else 0)
 
 
 def test_orth_moment_odd_degree_zero():
