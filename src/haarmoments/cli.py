@@ -48,6 +48,7 @@ from .linearization import (
 )
 from .nonbacktracking import (
     MAX_MAPPING_DIM,
+    _coerce_weights,
     build_companion,
     build_nb,
     verify_spectral_mapping,
@@ -76,6 +77,9 @@ from .wick import ComparisonReport, check_warmup, check_with_brackets
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
+
+#: Most points a ``nb-spectrum --lambda-grid`` may request.
+MAX_GRID_POINTS = 100_000
 
 #: Residual threshold below which a produced square-root pencil counts as valid.
 LINEARIZE_RESIDUAL_TOL = 1e-8
@@ -352,21 +356,25 @@ def _parse_grid(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError("lambda grid must be LO:HI:STEP")
     lo, hi, step = (float(p) for p in parts)
+    if not all(math.isfinite(value) for value in (lo, hi, step)):
+        raise ValueError("lambda grid needs finite LO, HI and STEP")
     if step <= 0 or hi < lo:
         raise ValueError("lambda grid needs STEP > 0 and HI >= LO")
-    count = int((hi - lo) / step + 1e-9) + 1
-    return [lo + i * step for i in range(count)]
+    span = (hi - lo) / step + 1e-9
+    if not span < MAX_GRID_POINTS:
+        raise CapacityError(f"lambda grid capped at {MAX_GRID_POINTS} points")
+    return [lo + i * step for i in range(int(span) + 1)]
 
 
 def _cmd_nb_spectrum(args: argparse.Namespace, seed: int) -> tuple[bytes, int]:
     data = json.loads(Path(args.weights).read_text())
     raw = data["weights"] if isinstance(data, dict) else data
-    weights = _matrices_from_json(raw, "weights")
-    op = build_nb(weights, side=args.side)
-    if op.dimension > MAX_MAPPING_DIM:
+    weights = _coerce_weights(_matrices_from_json(raw, "weights"))
+    if len(weights) * weights[0].shape[0] > MAX_MAPPING_DIM:
         raise CapacityError(
             f"dense spectrum computation capped at dimension {MAX_MAPPING_DIM}"
         )
+    op = build_nb(weights, side=args.side)
     spectrum = sorted(
         np.linalg.eigvals(op.matrix), key=lambda z: (z.real, z.imag)
     )
@@ -390,6 +398,12 @@ def _cmd_nb_spectrum(args: argparse.Namespace, seed: int) -> tuple[bytes, int]:
 def _cmd_freeness(args: argparse.Namespace, seed: int) -> tuple[bytes, int]:
     config_path = Path(args.config)
     config = json.loads(config_path.read_text())
+    if not isinstance(config, dict):
+        raise ValueError("freeness config must be a JSON object")
+    if config.get("seed") is not None and type(config["seed"]) is not int:
+        raise ValueError('config "seed" must be an integer')
+    if not isinstance(config["pencil"], str):
+        raise ValueError('config "pencil" must be a file path string')
     pencil_path = Path(config["pencil"])
     if not pencil_path.is_absolute():
         pencil_path = config_path.parent / pencil_path
@@ -739,10 +753,11 @@ def _config_seed(args: argparse.Namespace) -> Optional[int]:
     if not getattr(args, "config", None):
         return None
     try:
-        value = json.loads(Path(args.config).read_text()).get("seed")
+        config = json.loads(Path(args.config).read_text())
     except (OSError, ValueError, json.JSONDecodeError):
         return None
-    return int(value) if value is not None else None
+    value = config.get("seed") if isinstance(config, dict) else None
+    return value if type(value) is int else None
 
 
 def dispatch(argv: Sequence[str]) -> int:

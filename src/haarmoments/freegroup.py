@@ -6,7 +6,10 @@ pencil ``a0 (x) 1 + sum_i a_i (x) left-translation(g_i)`` acts on the
 Cayley tree; this module computes the non-backtracking growth rate
 ``rho_k``, Weyl-type lower bounds on the operator norm, Dirichlet ball
 compressions with positive-definite bisection for the spectral edges, and
-truncated resolvent entries at the root.
+truncated resolvent entries at the root.  The Schur elimination sweeps
+one ``(2d, r, r)`` stack of subtree pivots per level: the matrix-valued
+tree fixed point of Lehner (Amer. J. Math. 121, 1999), iterated from the
+leaves.
 """
 
 from __future__ import annotations
@@ -210,48 +213,47 @@ def rho_k(pencil: MatrixPencil, k: int) -> float:
     return ((2 * d - 1) * max(best, 0.0)) ** (1 / (2 * k))
 
 
+def _feeds(d: int) -> np.ndarray:
+    """``feeds[t, l]``: subtree type ``t < 2d`` branches into every color
+    ``l != star(t)``; the root, type ``2d``, into every color."""
+    colors = 2 * d
+    feeds = np.ones((colors + 1, colors), dtype=bool)
+    feeds[np.arange(colors), [star(j, d) for j in range(colors)]] = False
+    return feeds
+
+
 def _scaled_return_table(pencil: MatrixPencil, length: int) -> np.ndarray:
     """Root return moments of the pencil rescaled by its coefficient scale.
 
     Entry ``m`` is the root block of the ``m``-th power of the scaled
-    operator, computed by last-excursion convolution over subtree types:
-    a subtree entered through color ``l`` branches into all colors except
-    ``star(l)``.
+    operator, computed by last-excursion convolution over subtree types,
+    the root being the last type.
     """
     r = pencil.coeff_dim
     colors = 2 * pencil.d
     scale = pencil.coefficient_scale
-    table = np.zeros((length + 1, r, r), dtype=complex)
-    table[0] = np.eye(r)
+    sub = np.zeros((colors + 1, length + 1, r, r), dtype=complex)
+    sub[:, 0] = np.eye(r)
     if scale == 0.0:
-        return table
+        return sub[colors]
+    feeds = _feeds(pencil.d)
     b0 = pencil.a0 / scale
     b = [coeff / scale for coeff in pencil.a]
-    sub = np.zeros((colors, length + 1, r, r), dtype=complex)
-    sub[:, 0] = np.eye(r)
-    sub_right = np.zeros_like(sub)
+    sub_right = np.zeros((colors, length + 1, r, r), dtype=complex)
     for c in range(colors):
         sub_right[c, 0] = b[c]
     for m in range(1, length + 1):
-        for l in range(colors):
-            acc = b0 @ sub[l, m - 1]
+        for t in range(colors + 1):
+            acc = b0 @ sub[t, m - 1]
             if m >= 2:
-                tail = sub[l, m - 2 :: -1][: m - 1]
-                for c in range(colors):
-                    if c == star(l, pencil.d):
-                        continue
+                tail = sub[t, m - 2 :: -1][: m - 1]
+                for c in np.flatnonzero(feeds[t]):
                     conv = np.einsum("mij,mjk->ik", sub_right[c, : m - 1], tail)
                     acc += b[star(c, pencil.d)] @ conv
-            sub[l, m] = acc
-            sub_right[l, m] = acc @ b[l]
-        acc = b0 @ table[m - 1]
-        if m >= 2:
-            tail = table[m - 2 :: -1][: m - 1]
-            for c in range(colors):
-                conv = np.einsum("mij,mjk->ik", sub_right[c, : m - 1], tail)
-                acc += b[star(c, pencil.d)] @ conv
-        table[m] = acc
-    return table
+            sub[t, m] = acc
+            if t < colors:
+                sub_right[t, m] = acc @ b[t]
+    return sub[colors]
 
 
 def root_return_moments(pencil: MatrixPencil, length: int) -> np.ndarray:
@@ -356,9 +358,9 @@ def build_tree_ball(pencil: MatrixPencil, radius: int) -> TreeBallOperator:
     return TreeBallOperator(radius=radius, basis=basis, matrix=matrix, coeff_dim=r)
 
 
-def _positive_definite_inverse(pivot: np.ndarray) -> np.ndarray | None:
-    """Inverse of the hermitized pivot, or ``None`` when it is not positive definite."""
-    hermitized = (pivot + pivot.conj().T) / 2
+def _positive_definite_inverse(pivots: np.ndarray) -> np.ndarray | None:
+    """Inverses of the hermitized pivot stack, ``None`` unless all are positive definite."""
+    hermitized = (pivots + pivots.conj().swapaxes(-1, -2)) / 2
     try:
         np.linalg.cholesky(hermitized)
     except np.linalg.LinAlgError:
@@ -371,36 +373,35 @@ def _schur_recursion(
     mu: float,
     depth: int,
     invert: Callable[[np.ndarray], np.ndarray | None],
-) -> tuple[np.ndarray, list[np.ndarray]] | None:
+    sub: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None] | None:
     """Leaf-to-root Schur elimination of ``mu - A`` on the radius-``depth`` ball.
 
-    Returns the inverted root pivot and the inverted pivots of the
-    ``2d`` subtrees hanging off the root (a subtree entered through color
-    ``j`` branches into every color except ``star(j)``); depth 0 is the bare
-    root with no subtrees.  Returns ``None`` as soon as ``invert`` refuses a
-    pivot.
+    Each level subtracts the branch terms ``a_{l*} G_l a_l`` (one batched
+    product) from the bare pivot in ascending color ``l`` wherever ``_feeds``
+    allows, then inverts the whole stack in one ``invert`` call, or returns
+    ``None`` if it refuses.  Returns the inverted root pivot and the
+    ``(2d, r, r)`` stack of inverted subtree pivots (``None`` at depth 0);
+    passing that stack back as ``sub`` continues the sweep ``depth`` levels.
     """
-    d = pencil.d
+    colors = 2 * pencil.d
+    feeds = _feeds(pencil.d)
+    a = np.stack(pencil.a)
+    a_star = a[[star(l, pencil.d) for l in range(colors)]]
     bare = mu * np.eye(pencil.coeff_dim) - pencil.a0
-
-    def pivot_inverse(excluded: int | None, sub: list[np.ndarray]) -> np.ndarray | None:
-        pivot = bare
-        for l, block in enumerate(sub):
-            if l != excluded:
-                pivot = pivot - pencil.a[star(l, d)] @ block @ pencil.a[l]
-        return invert(pivot)
-
-    sub: list[np.ndarray] = []
-    for _ in range(depth):
-        fresh = []
-        for j in range(2 * d):
-            inverse = pivot_inverse(star(j, d), sub)
-            if inverse is None:
-                return None
-            fresh.append(inverse)
-        sub = fresh
-    root = pivot_inverse(None, sub)
-    return None if root is None else (root, sub)
+    for level in range(depth + 1):
+        types = feeds[:colors] if level < depth else feeds[colors:]
+        pivots = np.repeat(bare[None], len(types), axis=0)
+        if sub is not None:
+            terms = a_star @ sub @ a
+            for l in range(colors):
+                pivots[types[:, l]] -= terms[l]
+        inverses = invert(pivots)
+        if inverses is None:
+            return None
+        if level < depth:
+            sub = inverses
+    return inverses[0], sub
 
 
 def _ball_top(pencil: MatrixPencil, radius: int, tol: float) -> float:
@@ -466,23 +467,21 @@ def resolvent_entries(
             f"(norm >= {estimate:.6f}, margin {HULL_MARGIN})"
         )
 
-    def entries_at(depth: int) -> dict[ReducedWord, np.ndarray]:
-        root, sub = _schur_recursion(pencil, mu, depth, np.linalg.inv)
-        values: dict[ReducedWord, np.ndarray] = {}
-        for word in targets:
-            if word.length == 0:
-                values[word] = root
-            else:
-                color = word.letters[0]
-                values[word] = root @ pencil.a[star(color, pencil.d)] @ sub[color]
-        return values
+    def entries_at(root: np.ndarray, sub: np.ndarray) -> dict[ReducedWord, np.ndarray]:
+        return {
+            word: root if word.length == 0
+            else root @ pencil.a[star(word.letters[0], pencil.d)] @ sub[word.letters[0]]
+            for word in targets
+        }
 
     try:
-        previous = entries_at(radius)
+        root, sub = _schur_recursion(pencil, mu, radius, np.linalg.inv)
+        previous = entries_at(root, sub)
         depth = radius
         while 2 * depth <= MAX_RESOLVENT_RADIUS:
+            root, sub = _schur_recursion(pencil, mu, depth, np.linalg.inv, sub)
             depth *= 2
-            current = entries_at(depth)
+            current = entries_at(root, sub)
             delta = max(
                 float(np.max(np.abs(current[w] - previous[w]))) for w in targets
             ) if targets else 0.0

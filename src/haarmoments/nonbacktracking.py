@@ -181,11 +181,12 @@ def verify_spectral_mapping(
     companion nearly singular; grid points separated from sigma(B) must
     keep it well conditioned.
     """
-    op = build_nb(weights, side=side)
-    if op.dimension > MAX_MAPPING_DIM:
+    family = _coerce_weights(weights)
+    if len(family) * family[0].shape[0] > MAX_MAPPING_DIM:
         raise CapacityError(
             f"mapping verification capped at dimension {MAX_MAPPING_DIM}"
         )
+    op = build_nb(family, side=side)
     spectrum = np.linalg.eigvals(op.matrix)
     forward_failures = []
     checked = 0

@@ -10,6 +10,8 @@ import sys
 import pytest
 
 import haarmoments
+from haarmoments import cli
+from haarmoments.symcore import CapacityError
 
 
 def run_cli(*argv, env_extra=None, cwd=None):
@@ -240,6 +242,35 @@ class TestNbSpectrum:
         proc = run_cli("nb-spectrum", "--weights", str(weights), "--lambda-grid", "1:2")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "grid", ["0:inf:1", "nan:1:0.5", "0:1:-inf", "-1e308:1e308:1e-300", "0:200000:1"]
+    )
+    def test_unbounded_or_oversized_grid_exits_two(self, tmp_path, grid):
+        weights = tmp_path / "weights.json"
+        weights.write_text(json.dumps({"weights": [[[[0.5, 0.0]]]] * 4}))
+        proc = run_cli("nb-spectrum", "--weights", str(weights), f"--lambda-grid={grid}")
+        assert proc.returncode == 2
+        assert b"error:" in proc.stderr
+        assert b"Traceback" not in proc.stderr
+
+    def test_grid_at_the_point_cap_is_accepted(self):
+        assert len(cli._parse_grid(f"0:{cli.MAX_GRID_POINTS - 1}:1")) == cli.MAX_GRID_POINTS
+        with pytest.raises(CapacityError):
+            cli._parse_grid(f"0:{cli.MAX_GRID_POINTS}:1")
+
+    def test_capacity_checked_before_building_the_operator(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the operator was built before the cap check")
+
+        monkeypatch.setattr(cli, "build_nb", refuse)
+        weights = tmp_path / "weights.json"
+        count = cli.MAX_MAPPING_DIM + 2
+        weights.write_text(json.dumps({"weights": [[[[0.5, 0.0]]]] * count}))
+        code = cli.dispatch(
+            ["nb-spectrum", "--weights", str(weights), "--lambda-grid", "0:1:0.5"]
+        )
+        assert code == 2
+
 
 class TestFreeness:
     def write_config(self, tmp_path, seed=5):
@@ -260,13 +291,31 @@ class TestFreeness:
         return config
 
     @pytest.mark.parametrize(
-        "key, value", [("n", 6), ("n", [6, "8"]), ("d", 2.0), ("q_plus", True)]
+        "key, value",
+        [
+            ("n", 6),
+            ("n", [6, "8"]),
+            ("d", 2.0),
+            ("q_plus", True),
+            ("seed", [1]),
+            ("seed", True),
+            ("seed", "5"),
+            ("pencil", 5),
+        ],
     )
     def test_malformed_config_exits_two(self, tmp_path, key, value):
         config = self.write_config(tmp_path)
         data = json.loads(config.read_text())
         data[key] = value
         config.write_text(json.dumps(data))
+        proc = run_cli("freeness", "--config", str(config), "--trials", "1")
+        assert proc.returncode == 2
+        assert b"error:" in proc.stderr
+        assert b"Traceback" not in proc.stderr
+
+    def test_top_level_list_config_exits_two(self, tmp_path):
+        config = self.write_config(tmp_path)
+        config.write_text(json.dumps([json.loads(config.read_text())]))
         proc = run_cli("freeness", "--config", str(config), "--trials", "1")
         assert proc.returncode == 2
         assert b"error:" in proc.stderr

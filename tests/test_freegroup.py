@@ -5,12 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from haarmoments.freegroup import (
     HULL_MARGIN,
+    MAX_RESOLVENT_RADIUS,
+    RESOLVENT_TOL,
     MatrixPencil,
     ReducedWord,
     TreeBallOperator,
+    _positive_definite_inverse,
+    _schur_recursion,
     astar_norm_lower,
     ball_spectrum_bounds,
     build_tree_ball,
@@ -37,6 +42,108 @@ def random_selfadjoint_pencil(rng, d, r):
     ]
     family = generators + [g.conj().T for g in generators]
     return MatrixPencil(d=d, coeff_dim=r, a0=a0, a=tuple(family))
+
+
+# Reference route: the per-color Schur recursion with a from-scratch radius
+# doubling, as it stood before the stacked sweep; kept as a test oracle.
+
+
+def reference_schur(pencil, mu, depth, invert):
+    d = pencil.d
+    bare = mu * np.eye(pencil.coeff_dim) - pencil.a0
+
+    def pivot_inverse(excluded, sub):
+        pivot = bare
+        for l, block in enumerate(sub):
+            if l != excluded:
+                pivot = pivot - pencil.a[star(l, d)] @ block @ pencil.a[l]
+        return invert(pivot)
+
+    sub = []
+    for _ in range(depth):
+        fresh = []
+        for j in range(2 * d):
+            inverse = pivot_inverse(star(j, d), sub)
+            if inverse is None:
+                return None
+            fresh.append(inverse)
+        sub = fresh
+    root = pivot_inverse(None, sub)
+    return None if root is None else (root, sub)
+
+
+def reference_pd_inverse(pivot):
+    hermitized = (pivot + pivot.conj().T) / 2
+    try:
+        np.linalg.cholesky(hermitized)
+    except np.linalg.LinAlgError:
+        return None
+    return np.linalg.inv(hermitized)
+
+
+def reference_ball_top(pencil, radius, tol):
+    scale = pencil.coefficient_scale
+    lo, hi = -scale - 1.0, scale + 1.0
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if reference_schur(pencil, mid, radius, reference_pd_inverse) is not None:
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) / 2
+
+
+def reference_ball_bounds(pencil, radius, tol=1e-9):
+    top = reference_ball_top(pencil, radius, tol)
+    return -reference_ball_top(pencil.negated(), radius, tol), top
+
+
+def reference_resolvent(pencil, mu, targets, radius):
+    estimate = astar_norm_lower(pencil, m=12)
+    if abs(mu) <= estimate + HULL_MARGIN:
+        raise ValueError("inside the estimated hull")
+
+    def entries_at(depth):
+        root, sub = reference_schur(pencil, mu, depth, np.linalg.inv)
+        return {
+            word: root if word.length == 0
+            else root @ pencil.a[star(word.letters[0], pencil.d)] @ sub[word.letters[0]]
+            for word in targets
+        }
+
+    previous = entries_at(radius)
+    depth = radius
+    while 2 * depth <= MAX_RESOLVENT_RADIUS:
+        depth *= 2
+        current = entries_at(depth)
+        delta = max(float(np.max(np.abs(current[w] - previous[w]))) for w in targets)
+        if delta < RESOLVENT_TOL:
+            return current
+        previous = current
+    raise ValueError("did not stabilize")
+
+
+def reference_hat(pencil, mu, radius):
+    identity = ReducedWord.identity(pencil.d)
+    neighbors = [ReducedWord(pencil.d, (c,)) for c in range(2 * pencil.d)]
+    entries = reference_resolvent(pencil, mu, [identity] + neighbors, radius)
+    root_inverse = np.linalg.inv(entries[identity])
+    return tuple(root_inverse @ entries[w] for w in neighbors)
+
+
+def outcome(compute):
+    """The computed arrays, or None when the call refuses (LinAlgError is a ValueError)."""
+    try:
+        return compute()
+    except ValueError:
+        return None
+
+
+def assert_same_outcome(got, want):
+    assert (got is None) == (want is None)
+    if want is not None:
+        for g, w in zip(got, want, strict=True):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
 
 
 class TestReducedWord:
@@ -183,17 +290,17 @@ class TestRootReturnMoments:
         values = [int(round(m[0, 0].real)) for m in moments]
         assert values == [1, 1, 3, 7, 19, 51]
 
-    def test_matches_ball_powers_for_matrix_pencil(self):
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_ball_powers_for_matrix_pencil(self, d):
         rng = np.random.default_rng(11)
-        pencil = random_selfadjoint_pencil(rng, d=1, r=2)
+        pencil = random_selfadjoint_pencil(rng, d=d, r=2)
         length = 6
         ball = build_tree_ball(pencil, length)
         moments = root_return_moments(pencil, length)
-        power = np.eye(ball.dimension, dtype=complex)
+        columns = np.eye(ball.dimension, 2, dtype=complex)
         for m in range(length + 1):
-            block = power[:2, :2]
-            assert np.allclose(block, moments[m], atol=1e-10)
-            power = ball.matrix @ power
+            assert np.allclose(columns[:2], moments[m], atol=1e-10)
+            columns = ball.matrix @ columns
 
 
 class TestAstarNormLower:
@@ -359,3 +466,47 @@ class TestHatWeights:
 
     def test_hull_margin_constant(self):
         assert HULL_MARGIN == 0.05
+
+
+class TestStackedSweepMatchesReference:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 2),
+        r=st.integers(1, 3),
+        depth=st.integers(0, 8),
+        place=st.sampled_from(["above", "below", "inside"]),
+        frac=st.floats(-0.95, 0.95),
+    )
+    def test_agrees_and_refuses_alike(self, seed, d, r, depth, place, frac):
+        pencil = random_selfadjoint_pencil(np.random.default_rng(seed), d, r)
+        lo, hi = reference_ball_bounds(pencil, depth)
+        assert_same_outcome(ball_spectrum_bounds(pencil, depth), (lo, hi))
+        scale = pencil.coefficient_scale
+        mu = {
+            "above": scale + 0.1 + abs(frac),
+            "below": -(scale + 0.1 + abs(frac)),
+            "inside": (lo + hi) / 2 + frac * (hi - lo) / 2,
+        }[place]
+        for invert, reference_invert in (
+            (_positive_definite_inverse, reference_pd_inverse),
+            (np.linalg.inv, np.linalg.inv),
+        ):
+            got = outcome(lambda: _schur_recursion(pencil, mu, depth, invert))
+            want = outcome(lambda: reference_schur(pencil, mu, depth, reference_invert))
+            assert_same_outcome(
+                None if got is None else (got[0], *([] if got[1] is None else got[1])),
+                None if want is None else (want[0], *want[1]),
+            )
+        radius = max(depth, 1)
+        words = [ReducedWord.identity(d)] + [ReducedWord(d, (c,)) for c in range(2 * d)]
+        got = outcome(lambda: resolvent_entries(pencil, mu, words, radius=radius))
+        want = outcome(lambda: reference_resolvent(pencil, mu, words, radius))
+        assert_same_outcome(
+            None if got is None else [got[w] for w in words],
+            None if want is None else [want[w] for w in words],
+        )
+        assert_same_outcome(
+            outcome(lambda: hat_weights(pencil, mu, radius=radius)),
+            outcome(lambda: reference_hat(pencil, mu, radius)),
+        )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from haarmoments import nonbacktracking
 from haarmoments.freegroup import MatrixPencil
 from haarmoments.nonbacktracking import (
     CompanionOperator,
@@ -195,9 +196,15 @@ class TestVerifySpectralMapping:
         left = verify_spectral_mapping(weights, side="left")
         assert right.all_pass and left.all_pass
 
-    def test_dimension_cap(self):
+    def test_dimension_cap(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the operator was built before the cap check")
+
+        monkeypatch.setattr(nonbacktracking, "build_nb", refuse)
         with pytest.raises(CapacityError):
-            verify_spectral_mapping([np.zeros((800, 800))] * 4)
+            verify_spectral_mapping([np.zeros((751, 751))] * 4)
+        with pytest.raises(CapacityError):
+            verify_spectral_mapping([np.ones((1, 1))] * 3002)
 
 
 class TestBuildBMu:
