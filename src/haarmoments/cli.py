@@ -645,6 +645,13 @@ def _cmd_selftest(args: argparse.Namespace, seed: int) -> tuple[bytes, int]:
 # parser and dispatch
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="write the report here instead of stdout")
     parser.add_argument(
@@ -654,7 +661,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--threads",
-        type=int,
+        type=_positive_int,
         default=os.cpu_count() or 1,
         help="worker pool size for parallel subcommands (default: machine parallelism)",
     )

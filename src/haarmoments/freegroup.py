@@ -5,17 +5,20 @@ colors ``0..d-1`` are the generators and ``d..2d-1`` their inverses.  A
 pencil ``a0 (x) 1 + sum_i a_i (x) left-translation(g_i)`` acts on the
 Cayley tree; this module computes the non-backtracking growth rate
 ``rho_k``, Weyl-type lower bounds on the operator norm, Dirichlet ball
-compressions with positive-definite bisection for the spectral edges, and
-truncated resolvent entries at the root.  The Schur elimination sweeps
-one ``(2d, r, r)`` stack of subtree pivots per level: the matrix-valued
-tree fixed point of Lehner (Amer. J. Math. 121, 1999), iterated from the
-leaves.
+compressions, the ball's spectral edges, and truncated resolvent entries
+at the root.  One Schur elimination of ``mu - A`` serves the last two: it
+sweeps one ``(2d, r, r)`` stack of subtree pivots per level (the
+matrix-valued tree fixed point of Lehner, Amer. J. Math. 121, 1999,
+iterated from the leaves), and ``mu`` lies above the spectrum exactly
+when every pivot is positive definite.  The ball edges bisect on that
+certificate; the resolvent accepts a shift only under it, run on the
+negated pencil for shifts below the spectrum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -25,14 +28,12 @@ from .symcore import CapacityError
 MAX_RHO_PRODUCTS = 10**9
 #: Cap on the moment length (twice the Weyl power) in ``astar_norm_lower``.
 MAX_MOMENT_LENGTH = 4096
-#: Ball operators are stored dense up to this dimension, sparse beyond.
-MAX_BALL_DENSE_DIM = 20_000
-#: Hard cap on realized ball dimension.
-MAX_BALL_TOTAL_DIM = 1_000_000
-#: Safety margin around the estimated spectral hull for resolvent queries.
-HULL_MARGIN = 0.05
+#: Cap on the dimension of a materialized (dense) ball compression.
+MAX_BALL_DIM = 20_000
 #: Entry-stability tolerance for adaptive resolvent truncation.
 RESOLVENT_TOL = 1e-8
+#: Truncation radius of the first resolvent sweep; each later sweep doubles it.
+RESOLVENT_START_RADIUS = 32
 #: Largest truncation radius tried before giving up on a resolvent query.
 MAX_RESOLVENT_RADIUS = 16_384
 
@@ -302,59 +303,38 @@ class TreeBallOperator:
 
     radius: int
     basis: tuple[ReducedWord, ...]
-    matrix: object
+    matrix: np.ndarray
     coeff_dim: int
 
     @property
     def dimension(self) -> int:
         return self.coeff_dim * len(self.basis)
 
-    @property
-    def is_dense(self) -> bool:
-        return isinstance(self.matrix, np.ndarray)
-
     def norm(self) -> float:
-        if self.is_dense:
-            return float(np.linalg.norm(self.matrix, 2))
-        from scipy.sparse.linalg import svds
-
-        value = svds(self.matrix, k=1, return_singular_vectors=False)
-        return float(value[0])
+        return float(np.linalg.norm(self.matrix, 2))
 
 
 def build_tree_ball(pencil: MatrixPencil, radius: int) -> TreeBallOperator:
-    """Materialize the ball compression, dense below the dimension cap."""
-    basis = enumerate_ball(pencil.d, radius)
+    """Materialize the dense ball compression, capped at ``MAX_BALL_DIM``."""
     r = pencil.coeff_dim
-    dim = r * len(basis)
-    if dim > MAX_BALL_TOTAL_DIM:
-        raise CapacityError(f"ball dimension {dim} exceeds {MAX_BALL_TOTAL_DIM}")
+    words, shell = 1, 2 * pencil.d
+    for _ in range(radius):
+        words += shell
+        shell *= 2 * pencil.d - 1
+        if r * words > MAX_BALL_DIM:
+            raise CapacityError(
+                f"the radius-{radius} ball exceeds the dimension cap {MAX_BALL_DIM}"
+            )
+    basis = enumerate_ball(pencil.d, radius)
     index = {word.letters: pos for pos, word in enumerate(basis)}
-    edges = []
+    matrix = np.zeros((r * len(basis),) * 2, dtype=complex)
     for col, word in enumerate(basis):
-        edges.append((col, col, pencil.a0))
+        cols = slice(col * r, (col + 1) * r)
+        matrix[cols, cols] = pencil.a0
         for color in range(2 * pencil.d):
-            target = word.extend_front(color)
-            row = index.get(target.letters)
+            row = index.get(word.extend_front(color).letters)
             if row is not None:
-                edges.append((row, col, pencil.a[color]))
-    if dim <= MAX_BALL_DENSE_DIM:
-        matrix = np.zeros((dim, dim), dtype=complex)
-        for row, col, block in edges:
-            matrix[row * r : (row + 1) * r, col * r : (col + 1) * r] += block
-        return TreeBallOperator(radius=radius, basis=basis, matrix=matrix, coeff_dim=r)
-    from scipy.sparse import coo_matrix
-
-    rows, cols, vals = [], [], []
-    for row, col, block in edges:
-        for i in range(r):
-            for j in range(r):
-                value = block[i, j]
-                if value != 0:
-                    rows.append(row * r + i)
-                    cols.append(col * r + j)
-                    vals.append(value)
-    matrix = coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+                matrix[row * r : (row + 1) * r, cols] = pencil.a[color]
     return TreeBallOperator(radius=radius, basis=basis, matrix=matrix, coeff_dim=r)
 
 
@@ -372,17 +352,18 @@ def _schur_recursion(
     pencil: MatrixPencil,
     mu: float,
     depth: int,
-    invert: Callable[[np.ndarray], np.ndarray | None],
     sub: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None] | None:
     """Leaf-to-root Schur elimination of ``mu - A`` on the radius-``depth`` ball.
 
     Each level subtracts the branch terms ``a_{l*} G_l a_l`` (one batched
     product) from the bare pivot in ascending color ``l`` wherever ``_feeds``
-    allows, then inverts the whole stack in one ``invert`` call, or returns
-    ``None`` if it refuses.  Returns the inverted root pivot and the
-    ``(2d, r, r)`` stack of inverted subtree pivots (``None`` at depth 0);
-    passing that stack back as ``sub`` continues the sweep ``depth`` levels.
+    allows, then inverts the whole stack in one call, or returns ``None``
+    as soon as a pivot is not positive definite, which is exactly when
+    ``mu`` is not above the ball's spectrum.  Returns the inverted root
+    pivot and the ``(2d, r, r)`` stack of inverted subtree pivots (``None``
+    at depth 0); passing that stack back as ``sub`` continues the sweep
+    ``depth`` levels.
     """
     colors = 2 * pencil.d
     feeds = _feeds(pencil.d)
@@ -396,7 +377,7 @@ def _schur_recursion(
             terms = a_star @ sub @ a
             for l in range(colors):
                 pivots[types[:, l]] -= terms[l]
-        inverses = invert(pivots)
+        inverses = _positive_definite_inverse(pivots)
         if inverses is None:
             return None
         if level < depth:
@@ -408,18 +389,19 @@ def _ball_top(pencil: MatrixPencil, radius: int, tol: float) -> float:
     """Top of the ball spectrum by bisection on the shift ``mu``.
 
     ``mu`` lies above the spectrum exactly when every Schur pivot of
-    ``mu - A_ball`` is positive definite.
+    ``mu - A_ball`` is positive definite.  The bisection also stops once
+    ``lo`` and ``hi`` are adjacent floats, so any ``tol >= 0`` terminates.
     """
     scale = pencil.coefficient_scale
     lo, hi = -scale - 1.0, scale + 1.0
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        eliminated = _schur_recursion(pencil, mid, radius, _positive_definite_inverse)
-        if eliminated is not None:
+    mid = (lo + hi) / 2
+    while hi - lo > tol and lo < mid < hi:
+        if _schur_recursion(pencil, mid, radius) is not None:
             hi = mid
         else:
             lo = mid
-    return (lo + hi) / 2
+        mid = (lo + hi) / 2
+    return mid
 
 
 def ball_spectrum_bounds(
@@ -439,86 +421,87 @@ def ball_spectrum_bounds(
     return bottom, top
 
 
-def resolvent_entries(
-    pencil: MatrixPencil,
-    mu: float,
-    targets: Sequence[ReducedWord],
-    radius: int = 32,
-    tol: float = RESOLVENT_TOL,
-) -> Mapping[ReducedWord, np.ndarray]:
-    """Resolvent blocks ``G_{o, w}(mu)`` for target words of length <= 1.
+def _converged_sweep(
+    pencil: MatrixPencil, mu: float, targets: Sequence[ReducedWord]
+) -> tuple[dict[ReducedWord, np.ndarray], MatrixPencil, np.ndarray]:
+    """Stable resolvent entries at ``mu``, the pencil swept, its subtree pivot inverses.
 
-    Dirichlet truncation on a ball whose radius doubles until every
-    requested entry moves by less than ``tol``.  ``mu`` must clear the
-    estimated spectral hull by the configured margin.
+    ``mu`` above every eigenvalue of ``a0`` is swept as given; below them,
+    as ``-mu`` on the negated pencil, whose entries are negated back.  Any
+    other ``mu`` lies inside the spectrum's hull, because ``a0`` is a
+    compression of ``A``.  The sweep continues across radius doublings
+    until every requested entry moves by less than ``RESOLVENT_TOL``, and
+    refuses ``mu`` at the first pivot that is not definite.
     """
     _require_selfadjoint(pencil)
-    if radius < 1:
-        raise ValueError("radius must be positive")
     for word in targets:
         if word.d != pencil.d:
             raise ValueError("target word over a different generator count")
         if word.length > 1:
             raise ValueError("resolvent targets must have length <= 1")
-    estimate = astar_norm_lower(pencil, m=12)
-    if abs(mu) <= estimate + HULL_MARGIN:
+    a0_eigenvalues = np.linalg.eigvalsh(pencil.a0)
+    if mu > a0_eigenvalues[-1]:
+        side, shift, sign = pencil, mu, 1
+    elif mu < a0_eigenvalues[0]:
+        side, shift, sign = pencil.negated(), -mu, -1
+    else:
         raise ValueError(
-            f"mu={mu} lies inside the estimated spectral hull "
-            f"(norm >= {estimate:.6f}, margin {HULL_MARGIN})"
+            f"mu={mu} lies inside the spectrum's hull: it is within the "
+            "eigenvalue range of a0"
         )
-
-    def entries_at(root: np.ndarray, sub: np.ndarray) -> dict[ReducedWord, np.ndarray]:
-        return {
+    sub = previous = None
+    radius = 0
+    while radius < MAX_RESOLVENT_RADIUS:
+        step = radius or RESOLVENT_START_RADIUS
+        eliminated = _schur_recursion(side, shift, step, sub)
+        if eliminated is None:
+            raise ValueError(
+                f"mu={mu} lies inside the spectrum's hull: a Schur pivot on "
+                f"the radius-{radius + step} ball is not definite"
+            )
+        root, sub = eliminated
+        radius += step
+        current = {
             word: root if word.length == 0
-            else root @ pencil.a[star(word.letters[0], pencil.d)] @ sub[word.letters[0]]
+            else root @ side.a[star(word.letters[0], side.d)] @ sub[word.letters[0]]
             for word in targets
         }
-
-    try:
-        root, sub = _schur_recursion(pencil, mu, radius, np.linalg.inv)
-        previous = entries_at(root, sub)
-        depth = radius
-        while 2 * depth <= MAX_RESOLVENT_RADIUS:
-            root, sub = _schur_recursion(pencil, mu, depth, np.linalg.inv, sub)
-            depth *= 2
-            current = entries_at(root, sub)
-            delta = max(
-                float(np.max(np.abs(current[w] - previous[w]))) for w in targets
-            ) if targets else 0.0
-            if delta < tol:
-                return current
-            previous = current
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            f"truncated resolvent is singular at mu={mu}; "
-            "the point appears to lie inside the spectrum"
-        ) from exc
+        if previous is not None and max(
+            (float(np.max(np.abs(current[w] - previous[w]))) for w in targets),
+            default=0.0,
+        ) < RESOLVENT_TOL:
+            return {word: sign * block for word, block in current.items()}, side, sub
+        previous = current
     raise ValueError(
-        f"resolvent entries did not stabilize to {tol} by radius "
+        f"resolvent entries did not stabilize to {RESOLVENT_TOL} by radius "
         f"{MAX_RESOLVENT_RADIUS}"
     )
 
 
-def hat_weights(
-    pencil: MatrixPencil,
-    mu: float,
-    radius: int = 32,
-    tol: float = RESOLVENT_TOL,
-) -> tuple[np.ndarray, ...]:
-    """Companion non-backtracking weights ``G_oo^{-1} G_{o g_i}`` at ``mu``."""
-    identity = ReducedWord.identity(pencil.d)
-    targets = [identity] + [
-        ReducedWord(pencil.d, (color,)) for color in range(2 * pencil.d)
-    ]
-    entries = resolvent_entries(pencil, mu, targets, radius=radius, tol=tol)
-    root = entries[identity]
-    if not np.all(np.isfinite(root)):
-        raise ValueError("root resolvent block is not finite")
-    try:
-        root_inverse = np.linalg.inv(root)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("root resolvent block is singular") from exc
-    return tuple(
-        root_inverse @ entries[ReducedWord(pencil.d, (color,))]
-        for color in range(2 * pencil.d)
-    )
+def resolvent_entries(
+    pencil: MatrixPencil, mu: float, targets: Sequence[ReducedWord]
+) -> Mapping[ReducedWord, np.ndarray]:
+    """Resolvent blocks ``G_{o, w}(mu)`` for target words of length <= 1.
+
+    Dirichlet truncation on a ball whose radius starts at
+    ``RESOLVENT_START_RADIUS`` and doubles, up to ``MAX_RESOLVENT_RADIUS``,
+    until every requested entry moves by less than ``RESOLVENT_TOL``.
+    ``mu`` is accepted only when every Schur pivot of ``mu - A`` (of
+    ``A - mu`` below the spectrum) is positive definite, which certifies
+    that it lies outside the spectrum's hull; otherwise ``ValueError``.
+    """
+    return _converged_sweep(pencil, mu, targets)[0]
+
+
+def hat_weights(pencil: MatrixPencil, mu: float) -> tuple[np.ndarray, ...]:
+    """Companion non-backtracking weights ``G_oo^{-1} G_{o g_c}`` at ``mu``.
+
+    Since ``G_{o g_c} = G_oo a_{c*} G^(c)``, with ``G^(c)`` the inverted
+    pivot of the subtree behind ``g_c``, each weight is ``a_{c*} G^(c)``,
+    read off the converged sweep of :func:`resolvent_entries` (on the
+    negated pencil below the spectrum, where both factors change sign).
+    """
+    d = pencil.d
+    targets = [ReducedWord.identity(d)] + [ReducedWord(d, (c,)) for c in range(2 * d)]
+    _, side, sub = _converged_sweep(pencil, mu, targets)
+    return tuple(side.a[star(c, d)] @ sub[c] for c in range(2 * d))

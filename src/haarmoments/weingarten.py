@@ -458,7 +458,8 @@ def wg_orth_exact(k: int, n: int) -> OrthWeingartenTable:
     Raises
     ------
     UnsupportedRegimeError
-        When the Gram matrix is singular (it is invertible whenever n >= k).
+        When ``n < 1``, which is no dimension, or when the Gram matrix is
+        singular (it is invertible whenever n >= k).
     CapacityError
         When ``k`` exceeds the orthogonal degree cap.
     """
@@ -468,6 +469,8 @@ def wg_orth_exact(k: int, n: int) -> OrthWeingartenTable:
         raise CapacityError(
             f"orthogonal Weingarten tables are capped at k = {MAX_ORTHOGONAL_DEGREE}"
         )
+    if n < 1:
+        raise UnsupportedRegimeError(f"the dimension must be at least 1; got n={n}")
     partitions = enumerate_pair_partitions(k)
     base = partitions[0]
     values = _central_gram_solve(
@@ -487,6 +490,8 @@ def orth_moment(x: tuple[int, ...], y: tuple[int, ...], n: int) -> Fraction:
     """
     if len(x) != len(y):
         raise ValueError("index tuples must have the same length")
+    if n < 1:
+        raise UnsupportedRegimeError(f"the dimension must be at least 1; got n={n}")
     k = len(x)
     if k % 2 == 1:
         return Fraction(0)

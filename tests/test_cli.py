@@ -55,6 +55,13 @@ class TestUsageErrors:
         assert b"error:" in proc.stderr
         assert b"usage:" in proc.stderr
 
+    @pytest.mark.parametrize("threads", ["0", "-1", "two"])
+    def test_threads_must_be_a_positive_int(self, threads):
+        proc = run_cli("selftest", "--threads", threads)
+        assert proc.returncode == 2
+        assert b"--threads" in proc.stderr
+        assert proc.stdout == b""
+
     def test_missing_input_file_exits_two(self, tmp_path):
         proc = run_cli("free-norm", "--pencil", str(tmp_path / "nope.json"), "--m", "4")
         assert proc.returncode == 2
@@ -104,6 +111,18 @@ class TestWgTable:
         assert payload["orthogonal"] is True
         assert payload["values"]["1,1"] == "5/72"
         assert payload["values"]["2"] == "-1/72"
+
+    @pytest.mark.parametrize("n", ["0", "-1", "-3"])
+    def test_orthogonal_nonpositive_dimension_exits_two(self, tmp_path, n):
+        cache = tmp_path / "cache"
+        proc = run_cli(
+            "wg-table", "--k", "2", "--n", n, "--orthogonal",
+            env_extra={"HAARMOMENTS_CACHE": str(cache)},
+        )
+        assert proc.returncode == 2
+        assert b"error:" in proc.stderr
+        assert proc.stdout == b""
+        assert not cache.exists() or not any(cache.iterdir())
 
     def test_repeat_runs_are_byte_identical(self):
         first = run_cli("wg-table", "--k", "3", "--n", "7", "--seed", "1")

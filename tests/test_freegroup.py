@@ -2,19 +2,21 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from haarmoments import freegroup
 from haarmoments.freegroup import (
-    HULL_MARGIN,
+    MAX_BALL_DIM,
     MAX_RESOLVENT_RADIUS,
+    RESOLVENT_START_RADIUS,
     RESOLVENT_TOL,
     MatrixPencil,
     ReducedWord,
     TreeBallOperator,
-    _positive_definite_inverse,
     _schur_recursion,
     astar_norm_lower,
     ball_spectrum_bounds,
@@ -48,7 +50,16 @@ def random_selfadjoint_pencil(rng, d, r):
 # doubling, as it stood before the stacked sweep; kept as a test oracle.
 
 
-def reference_schur(pencil, mu, depth, invert):
+def reference_pd_inverse(pivot):
+    hermitized = (pivot + pivot.conj().T) / 2
+    try:
+        np.linalg.cholesky(hermitized)
+    except np.linalg.LinAlgError:
+        return None
+    return np.linalg.inv(hermitized)
+
+
+def reference_schur(pencil, mu, depth):
     d = pencil.d
     bare = mu * np.eye(pencil.coeff_dim) - pencil.a0
 
@@ -57,7 +68,7 @@ def reference_schur(pencil, mu, depth, invert):
         for l, block in enumerate(sub):
             if l != excluded:
                 pivot = pivot - pencil.a[star(l, d)] @ block @ pencil.a[l]
-        return invert(pivot)
+        return reference_pd_inverse(pivot)
 
     sub = []
     for _ in range(depth):
@@ -72,21 +83,12 @@ def reference_schur(pencil, mu, depth, invert):
     return None if root is None else (root, sub)
 
 
-def reference_pd_inverse(pivot):
-    hermitized = (pivot + pivot.conj().T) / 2
-    try:
-        np.linalg.cholesky(hermitized)
-    except np.linalg.LinAlgError:
-        return None
-    return np.linalg.inv(hermitized)
-
-
 def reference_ball_top(pencil, radius, tol):
     scale = pencil.coefficient_scale
     lo, hi = -scale - 1.0, scale + 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        if reference_schur(pencil, mid, radius, reference_pd_inverse) is not None:
+        if reference_schur(pencil, mid, radius) is not None:
             hi = mid
         else:
             lo = mid
@@ -98,21 +100,29 @@ def reference_ball_bounds(pencil, radius, tol=1e-9):
     return -reference_ball_top(pencil.negated(), radius, tol), top
 
 
-def reference_resolvent(pencil, mu, targets, radius):
-    estimate = astar_norm_lower(pencil, m=12)
-    if abs(mu) <= estimate + HULL_MARGIN:
-        raise ValueError("inside the estimated hull")
+def reference_resolvent(pencil, mu, targets):
+    # The side is the one whose bare root pivot is positive definite; below
+    # the spectrum the negated pencil runs at -mu and the entries flip sign.
+    if reference_schur(pencil, mu, 0) is not None:
+        side, shift, sign = pencil, mu, 1
+    elif reference_schur(pencil.negated(), -mu, 0) is not None:
+        side, shift, sign = pencil.negated(), -mu, -1
+    else:
+        raise ValueError("a0 pivot not definite on either side")
 
     def entries_at(depth):
-        root, sub = reference_schur(pencil, mu, depth, np.linalg.inv)
+        eliminated = reference_schur(side, shift, depth)
+        if eliminated is None:
+            raise ValueError("pivot not definite")
+        root, sub = eliminated
         return {
-            word: root if word.length == 0
-            else root @ pencil.a[star(word.letters[0], pencil.d)] @ sub[word.letters[0]]
+            word: sign * (root if word.length == 0
+            else root @ side.a[star(word.letters[0], side.d)] @ sub[word.letters[0]])
             for word in targets
         }
 
-    previous = entries_at(radius)
-    depth = radius
+    previous = entries_at(RESOLVENT_START_RADIUS)
+    depth = RESOLVENT_START_RADIUS
     while 2 * depth <= MAX_RESOLVENT_RADIUS:
         depth *= 2
         current = entries_at(depth)
@@ -123,16 +133,16 @@ def reference_resolvent(pencil, mu, targets, radius):
     raise ValueError("did not stabilize")
 
 
-def reference_hat(pencil, mu, radius):
+def reference_hat(pencil, mu):
     identity = ReducedWord.identity(pencil.d)
     neighbors = [ReducedWord(pencil.d, (c,)) for c in range(2 * pencil.d)]
-    entries = reference_resolvent(pencil, mu, [identity] + neighbors, radius)
+    entries = reference_resolvent(pencil, mu, [identity] + neighbors)
     root_inverse = np.linalg.inv(entries[identity])
     return tuple(root_inverse @ entries[w] for w in neighbors)
 
 
 def outcome(compute):
-    """The computed arrays, or None when the call refuses (LinAlgError is a ValueError)."""
+    """The computed arrays, or None when the call refuses with ValueError."""
     try:
         return compute()
     except ValueError:
@@ -357,6 +367,27 @@ class TestTreeBallOperator:
         expected = 2 * math.cos(math.pi / 12)
         assert ball.norm() == pytest.approx(expected, abs=1e-10)
 
+    def test_dimension_cap_refuses_before_building(self, monkeypatch):
+        class Enumerated(Exception):
+            pass
+
+        def enumerated(d, radius):
+            raise Enumerated
+
+        monkeypatch.setattr(freegroup, "enumerate_ball", enumerated)
+        # 39,365 words at d = 2, radius 9: refused before any word is listed.
+        with pytest.raises(CapacityError):
+            build_tree_ball(uniform_pencil(2), 9)
+        # r = 4 on the line: 4 (2R + 1) words' worth is 19,996 at R = 2499,
+        # inside the cap, and 20,004 at R = 2500, beyond it.
+        zero = np.zeros((4, 4))
+        pencil = MatrixPencil(d=1, coeff_dim=4, a0=zero, a=(zero, zero))
+        assert 4 * (2 * 2499 + 1) <= MAX_BALL_DIM < 4 * (2 * 2500 + 1)
+        with pytest.raises(Enumerated):
+            build_tree_ball(pencil, 2499)
+        with pytest.raises(CapacityError):
+            build_tree_ball(pencil, 2500)
+
 
 class TestBallSpectrumBounds:
     def test_integer_line_edges(self):
@@ -381,6 +412,12 @@ class TestBallSpectrumBounds:
         assert hi == pytest.approx(float(spectrum[-1]), abs=1e-7)
         assert lo == pytest.approx(float(spectrum[0]), abs=1e-7)
 
+    def test_zero_tolerance_terminates(self):
+        lo, hi = ball_spectrum_bounds(uniform_pencil(1), 3, tol=0.0)
+        expected = 2 * math.cos(math.pi / 8)
+        assert hi == pytest.approx(expected, abs=1e-14)
+        assert lo == pytest.approx(-expected, abs=1e-14)
+
     def test_free_group_edge_estimate(self):
         _, hi = ball_spectrum_bounds(uniform_pencil(2), 20, tol=1e-9)
         assert hi == pytest.approx(3.431735, abs=1e-4)
@@ -398,9 +435,39 @@ class TestResolventEntries:
         pencil = uniform_pencil(1)
         neighbor = ReducedWord(1, (0,))
         expected = (1 / math.sqrt(5)) * (3 - math.sqrt(5)) / 2
-        for radius in (1, 32):
-            entries = resolvent_entries(pencil, 3.0, [neighbor], radius=radius)
-            assert entries[neighbor][0, 0].real == pytest.approx(expected, abs=1e-7)
+        entries = resolvent_entries(pencil, 3.0, [neighbor])
+        assert entries[neighbor][0, 0].real == pytest.approx(expected, abs=1e-7)
+
+    def test_below_the_spectrum_runs_on_the_negated_pencil(self):
+        # a0 = 3 puts the line's spectrum at [1, 5]; mu = 0 lies below it,
+        # where G_oo = -1/sqrt(3^2 - 4).
+        pencil = uniform_pencil(1, a0=3.0)
+        root = ReducedWord.identity(1)
+        entries = resolvent_entries(pencil, 0.0, [root])
+        assert entries[root][0, 0].real == pytest.approx(-1 / math.sqrt(5), abs=1e-7)
+
+    def test_accepts_shift_above_asymmetric_spectrum(self):
+        pencil = random_selfadjoint_pencil(np.random.default_rng(4013), 1, 3)
+        lo, hi = ball_spectrum_bounds(pencil, 12)
+        mu = hi + 0.3
+        # The top edge sits far closer to 0 than the bottom one, so mu is
+        # below every norm estimate and yet above the spectrum.
+        assert mu < astar_norm_lower(pencil, 12) < -lo
+        root = ReducedWord.identity(1)
+        got = resolvent_entries(pencil, mu, [root])[root]
+        ball = build_tree_ball(pencil, 60)
+        dense = np.linalg.inv(mu * np.eye(ball.dimension) - ball.matrix)[:3, :3]
+        np.testing.assert_allclose(got, dense, atol=1e-9)
+        np.testing.assert_allclose(got, reference_resolvent(pencil, mu, [root])[root],
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("mu", [3.3, 3.45, -3.3])
+    def test_shift_inside_the_spectrum_refused_at_once(self, mu):
+        # 2 sqrt(3) ~ 3.464 is the norm of the uniform two-generator pencil.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="inside the spectrum"):
+            resolvent_entries(uniform_pencil(2), mu, [ReducedWord.identity(2)])
+        assert time.perf_counter() - start < 0.05
 
     def test_zero_operator(self):
         pencil = uniform_pencil(1, weight=0.0)
@@ -420,7 +487,7 @@ class TestResolventEntries:
         assert max(values) - min(values) < 1e-9
 
     def test_inside_hull_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="inside the spectrum"):
             resolvent_entries(uniform_pencil(1), 1.5, [ReducedWord.identity(1)])
 
     def test_long_target_rejected(self):
@@ -464,9 +531,6 @@ class TestHatWeights:
             )
             assert rho_k(hat_pencil, 10) < 1.0, (d, r)
 
-    def test_hull_margin_constant(self):
-        assert HULL_MARGIN == 0.05
-
 
 class TestStackedSweepMatchesReference:
     @settings(max_examples=30, deadline=None)
@@ -488,25 +552,20 @@ class TestStackedSweepMatchesReference:
             "below": -(scale + 0.1 + abs(frac)),
             "inside": (lo + hi) / 2 + frac * (hi - lo) / 2,
         }[place]
-        for invert, reference_invert in (
-            (_positive_definite_inverse, reference_pd_inverse),
-            (np.linalg.inv, np.linalg.inv),
-        ):
-            got = outcome(lambda: _schur_recursion(pencil, mu, depth, invert))
-            want = outcome(lambda: reference_schur(pencil, mu, depth, reference_invert))
-            assert_same_outcome(
-                None if got is None else (got[0], *([] if got[1] is None else got[1])),
-                None if want is None else (want[0], *want[1]),
-            )
-        radius = max(depth, 1)
+        got = _schur_recursion(pencil, mu, depth)
+        want = reference_schur(pencil, mu, depth)
+        assert_same_outcome(
+            None if got is None else (got[0], *([] if got[1] is None else got[1])),
+            None if want is None else (want[0], *want[1]),
+        )
         words = [ReducedWord.identity(d)] + [ReducedWord(d, (c,)) for c in range(2 * d)]
-        got = outcome(lambda: resolvent_entries(pencil, mu, words, radius=radius))
-        want = outcome(lambda: reference_resolvent(pencil, mu, words, radius))
+        got = outcome(lambda: resolvent_entries(pencil, mu, words))
+        want = outcome(lambda: reference_resolvent(pencil, mu, words))
         assert_same_outcome(
             None if got is None else [got[w] for w in words],
             None if want is None else [want[w] for w in words],
         )
         assert_same_outcome(
-            outcome(lambda: hat_weights(pencil, mu, radius=radius)),
-            outcome(lambda: reference_hat(pencil, mu, radius)),
+            outcome(lambda: hat_weights(pencil, mu)),
+            outcome(lambda: reference_hat(pencil, mu)),
         )

@@ -293,6 +293,16 @@ def test_orth_degree_eight_column_identity():
             assert entry == (1 if i == 0 else 0)
 
 
+@pytest.mark.parametrize("n", [0, -1, -3])
+def test_orth_nonpositive_dimension_refused(n):
+    for k in (2, 6):
+        with pytest.raises(UnsupportedRegimeError, match="at least 1"):
+            wg_orth_exact(k, n)
+    for length in (0, 1, 2):
+        with pytest.raises(UnsupportedRegimeError):
+            orth_moment((1,) * length, (1,) * length, n)
+
+
 def test_orth_moment_odd_degree_zero():
     assert orth_moment((1,), (1,), 3) == 0
     assert orth_moment((1, 1, 1), (1, 1, 1), 3) == 0
