@@ -1,9 +1,9 @@
-"""Rigorous rational enclosures of fractional powers.
+"""Rigorous rational lower bounds on fractional powers.
 
 The decay estimates compare exact rationals against bounds involving
 ``k^(7/2)``, ``k^(7/4)`` and similar irrational constants.  These helpers
-produce rational lower and upper bounds with a chosen number of decimal
-digits, so inequality checks stay exact: substituting a lower bound into a
+produce rational lower bounds with a chosen number of decimal digits, so
+inequality checks stay exact: substituting a lower bound into a
 monotone-increasing right-hand side only strengthens the assertion.
 """
 
@@ -45,12 +45,3 @@ def root_lower(value: Fraction | int, degree: int, digits: int = 24) -> Fraction
     scaled = (value.numerator * scale**degree) // value.denominator
     return Fraction(integer_root(scaled, degree), scale)
 
-
-def root_upper(value: Fraction | int, degree: int, digits: int = 24) -> Fraction:
-    """A rational r with value ** (1/degree) <= r."""
-    value = Fraction(value)
-    if value < 0:
-        raise ValueError("negative radicand")
-    scale = 10**digits
-    scaled = -(-value.numerator * scale**degree // value.denominator)
-    return Fraction(integer_root(scaled, degree) + 1, scale)

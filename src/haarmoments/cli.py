@@ -25,7 +25,7 @@ import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -157,6 +157,25 @@ def _index_tuples(k: int) -> list[tuple[int, ...]]:
     return list(itertools.product((1, 2), repeat=k))
 
 
+def _bracket_specs(k: int) -> Iterator[BracketMomentSpec]:
+    """Every degree-``k`` bracket moment, by partition, balanced signs, x, then y."""
+    balanced = [eps for eps in _all_epsilons(k) if eps.is_balanced()]
+    indices = _index_tuples(k)
+    for pi, eps, x, y in itertools.product(
+        enumerate_set_partitions(k), balanced, indices, indices
+    ):
+        yield BracketMomentSpec(pi=pi, eps=eps, x=x, y=y)
+
+
+def _spec_fields(spec: BracketMomentSpec) -> dict:
+    return {
+        "pi": [sorted(block) for block in spec.pi.blocks],
+        "eps": "".join(spec.eps.signs),
+        "x": list(spec.x),
+        "y": list(spec.y),
+    }
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers; each returns (payload bytes, exit code)
 
@@ -236,30 +255,20 @@ def _read_cached_table(
 
 def _cmd_centered_check(args: argparse.Namespace, seed: int) -> tuple[bytes, int]:
     k, n = args.k, args.n
-    partitions = enumerate_set_partitions(k)
-    balanced = [eps for eps in _all_epsilons(k) if eps.is_balanced()]
-    indices = _index_tuples(k)
     cases = 0
     failures = []
-    for pi in partitions:
-        for eps in balanced:
-            for x in indices:
-                for y in indices:
-                    spec = BracketMomentSpec(pi=pi, eps=eps, x=x, y=y)
-                    lhs = centered_moment(spec, n)
-                    rhs = bracket_expansion(spec, n)
-                    cases += 1
-                    if lhs != rhs:
-                        failures.append(
-                            {
-                                "pi": [sorted(block) for block in pi.blocks],
-                                "eps": "".join(eps.signs),
-                                "x": list(x),
-                                "y": list(y),
-                                "matching_sum": _fraction_str(lhs),
-                                "bracket_expansion": _fraction_str(rhs),
-                            }
-                        )
+    for spec in _bracket_specs(k):
+        lhs = centered_moment(spec, n)
+        rhs = bracket_expansion(spec, n)
+        cases += 1
+        if lhs != rhs:
+            failures.append(
+                {
+                    **_spec_fields(spec),
+                    "matching_sum": _fraction_str(lhs),
+                    "bracket_expansion": _fraction_str(rhs),
+                }
+            )
     payload = {
         "k": k,
         "n": n,
@@ -290,30 +299,12 @@ def _report_entry(report: ComparisonReport, extra: dict) -> dict:
 
 def _cmd_gauss_compare(args: argparse.Namespace, seed: int) -> tuple[bytes, int]:
     k, n = args.k, args.n
-    indices = _index_tuples(k)
     entries = []
     if args.brackets:
-        grids = itertools.product(
-            enumerate_set_partitions(k),
-            [eps for eps in _all_epsilons(k) if eps.is_balanced()],
-            indices,
-            indices,
-        )
-        for pi, eps, x, y in grids:
-            spec = BracketMomentSpec(pi=pi, eps=eps, x=x, y=y)
-            report = check_with_brackets(spec, n)
-            entries.append(
-                _report_entry(
-                    report,
-                    {
-                        "pi": [sorted(block) for block in pi.blocks],
-                        "eps": "".join(eps.signs),
-                        "x": list(x),
-                        "y": list(y),
-                    },
-                )
-            )
+        for spec in _bracket_specs(k):
+            entries.append(_report_entry(check_with_brackets(spec, n), _spec_fields(spec)))
     else:
+        indices = _index_tuples(k)
         for eps, x, y in itertools.product(_all_epsilons(k), indices, indices):
             report = check_warmup(x, y, eps, n)
             entries.append(
@@ -525,16 +516,10 @@ def _check_catalan() -> tuple[bool, str]:
 def _check_centered() -> tuple[bool, str]:
     n = 5
     cases = 0
-    for pi in enumerate_set_partitions(2):
-        for eps in _all_epsilons(2):
-            if not eps.is_balanced():
-                continue
-            for x in _index_tuples(2):
-                for y in _index_tuples(2):
-                    spec = BracketMomentSpec(pi=pi, eps=eps, x=x, y=y)
-                    if centered_moment(spec, n) != bracket_expansion(spec, n):
-                        return False, f"route mismatch at x={x}, y={y}"
-                    cases += 1
+    for spec in _bracket_specs(2):
+        if centered_moment(spec, n) != bracket_expansion(spec, n):
+            return False, f"route mismatch at x={spec.x}, y={spec.y}"
+        cases += 1
     return True, f"{cases} matching-sum vs inclusion-exclusion cases exact at n={n}"
 
 
@@ -781,7 +766,23 @@ def dispatch(argv: Sequence[str]) -> int:
         seed = secrets.randbits(63)
     started = time.perf_counter()
     try:
+        if args.out and not Path(args.out).parent.is_dir():
+            raise ValueError(f"--out directory {Path(args.out).parent} does not exist")
         payload, code = args.handler(args, seed)
+        digest = _write_payload(payload, args.out)
+        manifest = RunManifest(
+            command=args.command,
+            parameters={
+                key: value
+                for key, value in vars(args).items()
+                if key not in ("handler", "command", "seed")
+            },
+            seed=seed,
+            version=__version__,
+            wall_time_s=time.perf_counter() - started,
+            output_digest=digest,
+        )
+        _write_manifest(manifest, args.out)
     except (
         UnsupportedRegimeError,
         CapacityError,
@@ -793,20 +794,6 @@ def dispatch(argv: Sequence[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    digest = _write_payload(payload, args.out)
-    manifest = RunManifest(
-        command=args.command,
-        parameters={
-            key: value
-            for key, value in vars(args).items()
-            if key not in ("handler", "command", "seed")
-        },
-        seed=seed,
-        version=__version__,
-        wall_time_s=time.perf_counter() - started,
-        output_digest=digest,
-    )
-    _write_manifest(manifest, args.out)
     return code
 
 

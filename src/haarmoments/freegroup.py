@@ -6,13 +6,14 @@ pencil ``a0 (x) 1 + sum_i a_i (x) left-translation(g_i)`` acts on the
 Cayley tree; this module computes the non-backtracking growth rate
 ``rho_k``, Weyl-type lower bounds on the operator norm, Dirichlet ball
 compressions, the ball's spectral edges, and truncated resolvent entries
-at the root.  One Schur elimination of ``mu - A`` serves the last two: it
-sweeps one ``(2d, r, r)`` stack of subtree pivots per level (the
-matrix-valued tree fixed point of Lehner, Amer. J. Math. 121, 1999,
-iterated from the leaves), and ``mu`` lies above the spectrum exactly
-when every pivot is positive definite.  The ball edges bisect on that
-certificate; the resolvent accepts a shift only under it, run on the
-negated pencil for shifts below the spectrum.
+at the root.  Every tree recursion runs on color-stacked arrays under one
+non-backtracking rule, ``branch_mask``: ``rho_k`` on a ``(start, end)``
+stack, the return moments behind the Weyl bounds on a ``(type, length)``
+stack, and the Schur elimination of ``mu - A`` on a ``(2d, r, r)`` stack
+of subtree pivots (the matrix-valued tree fixed point of Lehner, Amer. J.
+Math. 121, 1999).  ``mu`` lies above the spectrum exactly when every pivot
+is positive definite: the ball edges bisect on that, and the resolvent
+accepts a shift only under it (on the negated pencil below the spectrum).
 """
 
 from __future__ import annotations
@@ -177,14 +178,24 @@ def _require_selfadjoint(pencil: MatrixPencil) -> None:
         raise ValueError("operation requires a self-adjoint pencil")
 
 
+def branch_mask(d: int) -> np.ndarray:
+    """The non-backtracking rule: ``mask[t, l]`` lets color ``l`` follow
+    color (subtree type) ``t < 2d`` unless ``l = star(t)``; the root, type
+    ``2d``, branches into every color."""
+    colors = 2 * d
+    mask = np.ones((colors + 1, colors), dtype=bool)
+    mask[np.arange(colors), [star(j, d) for j in range(colors)]] = False
+    return mask
+
+
 def rho_k(pencil: MatrixPencil, k: int) -> float:
     """The level-``k`` estimate of the non-backtracking growth rate.
 
     Returns ``((2d-1) max_i lambda_max(sum_w M_w^* M_w))^(1/(2k))`` where
     ``w`` runs over non-backtracking color sequences of length ``k``
     starting at ``i`` and ``M_w`` multiplies the pencil coefficients along
-    ``w``.  The sum is accumulated by a transfer recursion over the final
-    color, which reproduces the word-by-word enumeration exactly.
+    ``w``.  Each step sums, on one ``(start, end, r, r)`` stack, the ends
+    every next color may follow and conjugates them in one batched product.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -195,32 +206,20 @@ def rho_k(pencil: MatrixPencil, k: int) -> float:
             f"{(2 * d - 1) ** (k - 1) * colors} non-backtracking products "
             f"exceed the cap {MAX_RHO_PRODUCTS}"
         )
-    best = 0.0
-    for start in range(colors):
-        by_end = [np.zeros((pencil.coeff_dim,) * 2, dtype=complex) for _ in range(colors)]
-        by_end[start] = pencil.a[start].conj().T @ pencil.a[start]
-        for _ in range(k - 1):
-            fresh = []
-            for nxt in range(colors):
-                inner = sum(
-                    by_end[c] for c in range(colors) if c != star(nxt, d)
-                )
-                fresh.append(pencil.a[nxt].conj().T @ inner @ pencil.a[nxt])
-            by_end = fresh
-        gram = sum(by_end)
-        gram = (gram + gram.conj().T) / 2
-        top = float(np.linalg.eigvalsh(gram)[-1])
-        best = max(best, top)
+    follows = branch_mask(d)[:colors]
+    a = np.stack(pencil.a)
+    a_adj = a.conj().swapaxes(-1, -2)
+    by_end = np.zeros((colors, colors) + a.shape[1:], dtype=complex)
+    by_end[np.arange(colors), np.arange(colors)] = a_adj @ a
+    for _ in range(k - 1):
+        inner = np.zeros_like(by_end)
+        for c in range(colors):
+            inner[:, follows[c]] += by_end[:, c, None]
+        by_end = a_adj @ inner @ a
+    gram = by_end.sum(axis=1)
+    gram = (gram + gram.conj().swapaxes(-1, -2)) / 2
+    best = float(np.linalg.eigvalsh(gram)[:, -1].max())
     return ((2 * d - 1) * max(best, 0.0)) ** (1 / (2 * k))
-
-
-def _feeds(d: int) -> np.ndarray:
-    """``feeds[t, l]``: subtree type ``t < 2d`` branches into every color
-    ``l != star(t)``; the root, type ``2d``, into every color."""
-    colors = 2 * d
-    feeds = np.ones((colors + 1, colors), dtype=bool)
-    feeds[np.arange(colors), [star(j, d) for j in range(colors)]] = False
-    return feeds
 
 
 def _scaled_return_table(pencil: MatrixPencil, length: int) -> np.ndarray:
@@ -228,7 +227,8 @@ def _scaled_return_table(pencil: MatrixPencil, length: int) -> np.ndarray:
 
     Entry ``m`` is the root block of the ``m``-th power of the scaled
     operator, computed by last-excursion convolution over subtree types,
-    the root being the last type.
+    the root being the last type.  One ``tensordot`` per length gives every
+    (color, type) convolution, added where ``branch_mask`` allows.
     """
     r = pencil.coeff_dim
     colors = 2 * pencil.d
@@ -237,23 +237,23 @@ def _scaled_return_table(pencil: MatrixPencil, length: int) -> np.ndarray:
     sub[:, 0] = np.eye(r)
     if scale == 0.0:
         return sub[colors]
-    feeds = _feeds(pencil.d)
+    mask = branch_mask(pencil.d)
     b0 = pencil.a0 / scale
-    b = [coeff / scale for coeff in pencil.a]
+    b = np.stack(pencil.a) / scale
+    b_star = b[[star(c, pencil.d) for c in range(colors)]]
     sub_right = np.zeros((colors, length + 1, r, r), dtype=complex)
-    for c in range(colors):
-        sub_right[c, 0] = b[c]
+    sub_right[:, 0] = b
     for m in range(1, length + 1):
-        for t in range(colors + 1):
-            acc = b0 @ sub[t, m - 1]
-            if m >= 2:
-                tail = sub[t, m - 2 :: -1][: m - 1]
-                for c in np.flatnonzero(feeds[t]):
-                    conv = np.einsum("mij,mjk->ik", sub_right[c, : m - 1], tail)
-                    acc += b[star(c, pencil.d)] @ conv
-            sub[t, m] = acc
-            if t < colors:
-                sub_right[t, m] = acc @ b[t]
+        acc = b0 @ sub[:, m - 1]
+        if m >= 2:
+            conv = np.tensordot(
+                sub_right[:, : m - 1], sub[:, m - 2 :: -1], axes=([1, 3], [1, 2])
+            )
+            terms = b_star[:, None] @ conv.transpose(0, 2, 1, 3)
+            for c in range(colors):
+                acc[mask[:, c]] += terms[c, mask[:, c]]
+        sub[:, m] = acc
+        sub_right[:, m] = acc[:colors] @ b
     return sub[colors]
 
 
@@ -357,7 +357,7 @@ def _schur_recursion(
     """Leaf-to-root Schur elimination of ``mu - A`` on the radius-``depth`` ball.
 
     Each level subtracts the branch terms ``a_{l*} G_l a_l`` (one batched
-    product) from the bare pivot in ascending color ``l`` wherever ``_feeds``
+    product) from the bare pivot in ascending color ``l`` where ``branch_mask``
     allows, then inverts the whole stack in one call, or returns ``None``
     as soon as a pivot is not positive definite, which is exactly when
     ``mu`` is not above the ball's spectrum.  Returns the inverted root
@@ -366,12 +366,12 @@ def _schur_recursion(
     ``depth`` levels.
     """
     colors = 2 * pencil.d
-    feeds = _feeds(pencil.d)
+    mask = branch_mask(pencil.d)
     a = np.stack(pencil.a)
     a_star = a[[star(l, pencil.d) for l in range(colors)]]
     bare = mu * np.eye(pencil.coeff_dim) - pencil.a0
     for level in range(depth + 1):
-        types = feeds[:colors] if level < depth else feeds[colors:]
+        types = mask[:colors] if level < depth else mask[colors:]
         pivots = np.repeat(bare[None], len(types), axis=0)
         if sub is not None:
             terms = a_star @ sub @ a

@@ -3,11 +3,12 @@
 For an even family of weights ``b_0..b_{l-1}``, colors pair up under the
 free-group involution ``i* = freegroup.star(i, l/2) = i + l/2 mod l``.
 The non-backtracking operator places a weight block at color position
-``(i, j)`` whenever ``j != i*``: the right variant uses the column weight
-``b_j``, the left variant the row weight ``b_i``.  A complex number lies
-in the spectrum exactly when the companion operator ``A(lambda)`` is
-singular; this module assembles both, computes spectral radii by a dense
-eigensolve, and verifies the mapping numerically.
+``(i, j)`` whenever ``j != i*`` (the tree recursions' ``branch_mask``): the
+right variant uses the column weight ``b_j``, the left variant the row
+weight ``b_i``.  A complex number lies in the spectrum exactly when the
+companion operator ``A(lambda)`` is singular; this module assembles both,
+computes spectral radii by a dense eigensolve, and verifies the mapping
+numerically.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .freegroup import MatrixPencil, hat_weights, star
+from .freegroup import MatrixPencil, branch_mask, hat_weights, star
 from .symcore import CapacityError
 
 #: Dense eigensolve cap for the spectral mapping verification.
@@ -77,21 +78,20 @@ class CompanionOperator:
 def build_nb(weights: Sequence, side: str = "right") -> NBOperator:
     """Assemble the color-major non-backtracking matrix.
 
-    Block ``(i, j)`` holds ``b_j`` (right) or ``b_i`` (left) whenever
-    ``j != i*``, giving ``l(l-1)`` nonzero blocks for nonzero weights.
+    Block ``(i, j)`` holds ``b_j`` (right) or ``b_i`` (left) wherever
+    ``branch_mask`` lets ``j`` follow ``i`` (``j != i*``), giving ``l(l-1)``
+    nonzero blocks for nonzero weights.
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     family = _coerce_weights(weights)
     ell = len(family)
     dim = family[0].shape[0]
-    matrix = np.zeros((ell * dim, ell * dim), dtype=complex)
-    for i in range(ell):
-        for j in range(ell):
-            if j == star(i, ell // 2):
-                continue
-            block = family[j] if side == "right" else family[i]
-            matrix[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim] = block
+    stacked = np.stack(family)
+    blocks = stacked.transpose(1, 0, 2)[None] if side == "right" else stacked[:, :, None]
+    matrix = np.zeros((ell, dim, ell, dim), dtype=complex)
+    np.copyto(matrix, blocks, where=branch_mask(ell // 2)[:ell, None, :, None])
+    matrix = matrix.reshape(ell * dim, ell * dim)
     return NBOperator(ell=ell, weights=family, side=side, matrix=matrix)
 
 

@@ -231,12 +231,6 @@ class SetPartition:
     def k(self) -> int:
         return sum(len(b) for b in self.blocks)
 
-    def block_of(self, l: int) -> frozenset[int]:
-        for block in self.blocks:
-            if l in block:
-                return block
-        raise KeyError(l)
-
     def is_coarser_than(self, other: "SetPartition") -> bool:
         """True when every block of ``other`` sits inside a block of self."""
         return all(

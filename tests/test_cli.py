@@ -67,6 +67,46 @@ class TestUsageErrors:
         assert proc.returncode == 2
 
 
+class TestOutputErrors:
+    def test_missing_out_directory_refused_before_the_kernel(self, tmp_path, monkeypatch, capsys):
+        def kernel_must_not_run(*args):
+            raise AssertionError("the Weingarten solve ran before --out was checked")
+
+        monkeypatch.setattr(cli, "wg_exact", kernel_must_not_run)
+        out = tmp_path / "missing" / "x.json"
+        code = cli.dispatch(["wg-table", "--k", "2", "--n", "3", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and "does not exist" in err
+        assert "Traceback" not in err
+        assert not out.parent.exists()
+
+    def test_unwritable_out_exits_two(self, tmp_path, capsys):
+        code = cli.dispatch(["wg-table", "--k", "2", "--n", "3", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err
+        assert "Traceback" not in err
+
+
+class TestStartup:
+    def test_help_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(haarmoments.__file__))
+        env = os.environ.copy()
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys\n"
+            "from haarmoments import cli\n"
+            "assert cli.dispatch(['--help']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip() == b"[]"
+
+
 class TestMalformedInputFiles:
     ENTRY = [[[1.0, 0.0]]]
 

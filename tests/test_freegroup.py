@@ -141,6 +141,38 @@ def reference_hat(pencil, mu):
     return tuple(root_inverse @ entries[w] for w in neighbors)
 
 
+# Reference route: the return-moment table with one einsum per (length,
+# subtree type, color), as it stood before the stacked convolution.
+
+
+def reference_scaled_return_table(pencil, length):
+    r = pencil.coeff_dim
+    d = pencil.d
+    colors = 2 * d
+    scale = pencil.coefficient_scale
+    sub = np.zeros((colors + 1, length + 1, r, r), dtype=complex)
+    sub[:, 0] = np.eye(r)
+    b0 = pencil.a0 / scale
+    b = [coeff / scale for coeff in pencil.a]
+    sub_right = np.zeros((colors, length + 1, r, r), dtype=complex)
+    for c in range(colors):
+        sub_right[c, 0] = b[c]
+    for m in range(1, length + 1):
+        for t in range(colors + 1):
+            acc = b0 @ sub[t, m - 1]
+            if m >= 2:
+                tail = sub[t, m - 2 :: -1][: m - 1]
+                for c in range(colors):
+                    if t < colors and c == star(t, d):
+                        continue
+                    conv = np.einsum("mij,mjk->ik", sub_right[c, : m - 1], tail)
+                    acc += b[star(c, d)] @ conv
+            sub[t, m] = acc
+            if t < colors:
+                sub_right[t, m] = acc @ b[t]
+    return sub[colors]
+
+
 def outcome(compute):
     """The computed arrays, or None when the call refuses with ValueError."""
     try:
@@ -251,25 +283,26 @@ class TestRhoK:
         assert rho_k(pencil, 4) == pytest.approx(math.sqrt(5) * 0.5, abs=1e-12)
 
     def test_matches_word_enumeration(self):
-        rng = np.random.default_rng(7)
-        pencil = random_selfadjoint_pencil(rng, d=2, r=2)
-        k = 3
-        best = 0.0
-        for start in range(4):
-            gram = np.zeros((2, 2), dtype=complex)
-            for word in itertools.product(range(4), repeat=k):
-                if word[0] != start:
-                    continue
-                if any(b == star(a, 2) for a, b in zip(word, word[1:])):
-                    continue
-                product = np.eye(2, dtype=complex)
-                for color in word:
-                    product = product @ pencil.a[color]
-                gram += product.conj().T @ product
-            top = float(np.linalg.eigvalsh((gram + gram.conj().T) / 2)[-1])
-            best = max(best, top)
-        expected = (3 * best) ** (1 / (2 * k))
-        assert rho_k(pencil, k) == pytest.approx(expected, abs=1e-10)
+        grid = [(2, 2, 3)] + list(itertools.product((1, 2, 3), (1, 3), range(1, 5)))
+        for d, r, k in grid:
+            pencil = random_selfadjoint_pencil(np.random.default_rng(7), d=d, r=r)
+            colors = 2 * d
+            best = 0.0
+            for start in range(colors):
+                gram = np.zeros((r, r), dtype=complex)
+                for word in itertools.product(range(colors), repeat=k):
+                    if word[0] != start:
+                        continue
+                    if any(b == star(a, d) for a, b in zip(word, word[1:])):
+                        continue
+                    product = np.eye(r, dtype=complex)
+                    for color in word:
+                        product = product @ pencil.a[color]
+                    gram += product.conj().T @ product
+                top = float(np.linalg.eigvalsh((gram + gram.conj().T) / 2)[-1])
+                best = max(best, top)
+            expected = ((2 * d - 1) * best) ** (1 / (2 * k))
+            assert rho_k(pencil, k) == pytest.approx(expected, abs=1e-10), (d, r, k)
 
     def test_three_generators_order_twelve(self):
         pencil = uniform_pencil(3)
@@ -311,6 +344,15 @@ class TestRootReturnMoments:
         for m in range(length + 1):
             assert np.allclose(columns[:2], moments[m], atol=1e-10)
             columns = ball.matrix @ columns
+
+    @pytest.mark.parametrize("d,r", list(itertools.product((1, 2, 3), (1, 2, 3))))
+    def test_matches_per_type_recursion_at_length_200(self, d, r):
+        pencil = random_selfadjoint_pencil(np.random.default_rng(31 * d + r), d=d, r=r)
+        got = freegroup._scaled_return_table(pencil, 200)
+        want = reference_scaled_return_table(pencil, 200)
+        for m in range(201):
+            largest = float(np.max(np.abs(want[m])))
+            np.testing.assert_allclose(got[m], want[m], rtol=0, atol=1e-12 * largest)
 
 
 class TestAstarNormLower:

@@ -72,6 +72,19 @@ class TestBuildNb:
         assert right.matrix[0, 2] == 0.0
         assert left.matrix[1, 3] == 0.0
 
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_matrix_blocks_follow_the_rule(self, side):
+        rng = np.random.default_rng(5)
+        weights = [rng.standard_normal((2, 4)).view(complex) for _ in range(6)]
+        matrix = build_nb(weights, side=side).matrix
+        for i in range(6):
+            for j in range(6):
+                block = matrix[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
+                if j == (i + 3) % 6:
+                    assert not block.any()
+                else:
+                    assert np.array_equal(block, weights[j if side == "right" else i])
+
     def test_conjugate_sides_share_spectrum(self):
         rng = np.random.default_rng(1)
         weights = [
