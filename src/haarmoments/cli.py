@@ -8,6 +8,11 @@ encoded as ``"numerator/denominator"`` strings; experiment tables go
 out as CSV.  Given the same subcommand and seed, payload bytes are
 identical across runs on one machine, except for measured wall-time
 columns, which are genuinely nondeterministic.
+
+Module level imports only the standard library: each handler imports the
+layers it runs, and numpy only if it needs it, so ``--help`` and the exact
+subcommands never load numpy.  Every JSON input file is checked by one
+declarative helper, ``_require``, which names the file and the key at fault.
 """
 
 from __future__ import annotations
@@ -22,57 +27,11 @@ import secrets
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
 
-import numpy as np
-
 from . import __version__
-from .centered_wg import BracketMomentSpec, bracket_expansion, centered_moment
-from .freegroup import (
-    MatrixPencil,
-    ReducedWord,
-    astar_norm_lower,
-    resolvent_entries,
-    rho_k,
-)
-from .haarmodel import ModelConfig, freeness_experiment
-from .linearization import (
-    GroupPolynomial,
-    poly_norm,
-    sqrt_identity_residual,
-    sqrt_pencil,
-    symmetric_ball,
-)
-from .nonbacktracking import (
-    MAX_MAPPING_DIM,
-    _coerce_weights,
-    build_companion,
-    build_nb,
-    verify_spectral_mapping,
-)
-from .symcore import (
-    BAR,
-    DOT,
-    CapacityError,
-    EpsilonSequence,
-    all_permutations,
-    cycle_type,
-    enumerate_set_partitions,
-)
-from .weingarten import (
-    UnsupportedRegimeError,
-    _integer_partitions,
-    catalan,
-    haar_moment,
-    hurwitz_count,
-    orth_moment,
-    wg_exact,
-    wg_orth_exact,
-)
-from .wick import ComparisonReport, check_warmup, check_with_brackets
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -86,18 +45,6 @@ LINEARIZE_RESIDUAL_TOL = 1e-8
 
 #: Environment variable naming the directory for memoized Weingarten tables.
 CACHE_ENV_VAR = "HAARMOMENTS_CACHE"
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record emitted exactly once alongside each run's data."""
-
-    command: str
-    parameters: dict
-    seed: int
-    version: str
-    wall_time_s: float
-    output_digest: str
 
 
 def _fraction_str(value: Fraction) -> str:
@@ -116,12 +63,36 @@ def _json_bytes(payload: object) -> bytes:
     return (json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
 
 
-def _matrix_to_json(matrix: np.ndarray) -> list:
-    out = np.array(matrix, dtype=complex)
-    return [[[entry.real, entry.imag] for entry in row] for row in out]
+_JSON_NAMES = {bool: "true or false", int: "an integer", str: "a string", list: "a JSON list",
+               dict: "a JSON object"}
 
 
-def _matrix_from_json(data: object) -> np.ndarray:
+def _require(value, kind, what: str):
+    """Return decoded JSON ``value`` if it has ``kind``; else raise ValueError.
+
+    A kind is a JSON type, matched exactly (``true`` and ``2.0`` are not
+    ``int``); ``[kind]``, a list of such values; ``{key: kind}``, an object
+    with those keys; or ``(kind, None)``, that kind or null, and as an
+    object key also absent.  The message names ``what`` and the key at fault.
+    """
+    if isinstance(kind, tuple):
+        return value if value is None else _require(value, kind[0], what)
+    if isinstance(kind, dict):
+        _require(value, dict, what)
+        for key, field in kind.items():
+            if key not in value and not isinstance(field, tuple):
+                raise ValueError(f'{what} is missing "{key}"')
+            _require(value.get(key), field, f'{what} "{key}"')
+    elif isinstance(kind, list):
+        for item in _require(value, list, what):
+            _require(item, kind[0], f"{what} item")
+    elif type(value) is not kind:
+        raise ValueError(f"{what} must be {_JSON_NAMES[kind]}")
+    return value
+
+
+def _matrix_from_json(data: object):
+    import numpy as np
     message = "matrix entries must be [re, im] pairs in a rectangular grid"
     try:
         arr = np.array(data, dtype=float)
@@ -132,24 +103,23 @@ def _matrix_from_json(data: object) -> np.ndarray:
     return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
-def _matrices_from_json(data: object, what: str) -> tuple[np.ndarray, ...]:
-    if not isinstance(data, list):
-        raise ValueError(f"{what} must be a JSON list of matrices")
-    return tuple(_matrix_from_json(entry) for entry in data)
+def _load_pencil(path: Path):
+    import numpy as np
+    from .freegroup import MatrixPencil
+    data = _require(
+        json.loads(path.read_text()),
+        {"d": int, "coeff_dim": int, "a": list, "a0": (list, None)},
+        "pencil file",
+    )
+    r = data["coeff_dim"]
+    a0 = data.get("a0")
+    a0 = np.zeros((r, r), dtype=complex) if a0 is None else _matrix_from_json(a0)
+    a = tuple(_matrix_from_json(entry) for entry in data["a"])
+    return MatrixPencil(d=data["d"], coeff_dim=r, a0=a0, a=a)
 
 
-def _load_pencil(path: str) -> MatrixPencil:
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict):
-        raise ValueError('pencil file must be a JSON object with "d", "coeff_dim" and "a"')
-    d, r = data["d"], data["coeff_dim"]
-    if type(d) is not int or type(r) is not int:
-        raise ValueError('pencil "d" and "coeff_dim" must be integers')
-    a0 = _matrix_from_json(data["a0"]) if "a0" in data else np.zeros((r, r), dtype=complex)
-    return MatrixPencil(d=d, coeff_dim=r, a0=a0, a=_matrices_from_json(data["a"], 'pencil "a"'))
-
-
-def _all_epsilons(k: int) -> list[EpsilonSequence]:
+def _all_epsilons(k: int) -> list:
+    from .symcore import BAR, DOT, EpsilonSequence
     return [EpsilonSequence(signs) for signs in itertools.product((DOT, BAR), repeat=k)]
 
 
@@ -157,8 +127,16 @@ def _index_tuples(k: int) -> list[tuple[int, ...]]:
     return list(itertools.product((1, 2), repeat=k))
 
 
-def _bracket_specs(k: int) -> Iterator[BracketMomentSpec]:
+def _warmup_cases(k: int) -> Iterator:
+    """Every degree-``k`` warm-up case ``(eps, x, y)``, by signs, x, then y."""
+    indices = _index_tuples(k)
+    return itertools.product(_all_epsilons(k), indices, indices)
+
+
+def _bracket_specs(k: int) -> Iterator:
     """Every degree-``k`` bracket moment, by partition, balanced signs, x, then y."""
+    from .centered_wg import BracketMomentSpec
+    from .symcore import enumerate_set_partitions
     balanced = [eps for eps in _all_epsilons(k) if eps.is_balanced()]
     indices = _index_tuples(k)
     for pi, eps, x, y in itertools.product(
@@ -167,7 +145,7 @@ def _bracket_specs(k: int) -> Iterator[BracketMomentSpec]:
         yield BracketMomentSpec(pi=pi, eps=eps, x=x, y=y)
 
 
-def _spec_fields(spec: BracketMomentSpec) -> dict:
+def _spec_fields(spec) -> dict:
     return {
         "pi": [sorted(block) for block in spec.pi.blocks],
         "eps": "".join(spec.eps.signs),
@@ -177,10 +155,18 @@ def _spec_fields(spec: BracketMomentSpec) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (payload bytes, exit code)
+# subcommand handlers; each imports its own layers and returns
+# (payload bytes, exit code)
 
 
-def _cmd_wg_table(args: argparse.Namespace, seed: int) -> tuple[bytes, int]:
+def _seed(args: argparse.Namespace, fallback: Optional[int] = None) -> int:
+    """``--seed``, else ``fallback``, else a random seed; fixed in ``args`` on first use."""
+    if args.seed is None:
+        args.seed = fallback if fallback is not None else secrets.randbits(63)
+    return args.seed
+
+
+def _cmd_wg_table(args: argparse.Namespace) -> tuple[bytes, int]:
     values = _cached_wg_values(args.k, args.n, args.orthogonal)
     payload = {
         "k": args.k,
@@ -206,6 +192,7 @@ def _cached_wg_values(k: int, n: int, orthogonal: bool) -> dict[str, str]:
         values = _read_cached_table(path, k, n, orthogonal)
         if values is not None:
             return values
+    from .weingarten import wg_exact, wg_orth_exact
     table = wg_orth_exact(k, n) if orthogonal else wg_exact(k, n)
     values = {
         _type_key(ct): _fraction_str(value) for ct, value in sorted(table.values.items())
@@ -234,16 +221,19 @@ def _read_cached_table(
     """The values of a cache file, or None unless its header, its type keys
     and every canonical rational match the requested table."""
     try:
-        data = json.loads(path.read_text())
+        data = _require(
+            json.loads(path.read_text()),
+            {"k": int, "n": int, "orthogonal": bool, "values": dict},
+            "cache file",
+        )
     except (OSError, ValueError):
         return None
-    if not isinstance(data, dict) or (
-        data.get("k"), data.get("n"), data.get("orthogonal")
-    ) != (k, n, orthogonal):
+    if (data["k"], data["n"], data["orthogonal"]) != (k, n, orthogonal):
         return None
-    values = data.get("values")
-    types = _integer_partitions(k // 2 if orthogonal else k)
-    if not isinstance(values, dict) or set(values) != {_type_key(ct) for ct in types}:
+    from .weingarten import integer_partitions
+    values = data["values"]
+    types = integer_partitions(k // 2 if orthogonal else k)
+    if set(values) != {_type_key(ct) for ct in types}:
         return None
     try:
         if all(_fraction_str(Fraction(value)) == value for value in values.values()):
@@ -253,8 +243,9 @@ def _read_cached_table(
     return None
 
 
-def _cmd_centered_check(args: argparse.Namespace, seed: int) -> tuple[bytes, int]:
-    k, n = args.k, args.n
+def _centered_mismatches(k: int, n: int) -> tuple[int, list[dict]]:
+    """Case count, and the cases where the two centered-moment routes differ."""
+    from .centered_wg import bracket_expansion, centered_moment
     cases = 0
     failures = []
     for spec in _bracket_specs(k):
@@ -269,6 +260,12 @@ def _cmd_centered_check(args: argparse.Namespace, seed: int) -> tuple[bytes, int
                     "bracket_expansion": _fraction_str(rhs),
                 }
             )
+    return cases, failures
+
+
+def _cmd_centered_check(args: argparse.Namespace) -> tuple[bytes, int]:
+    k, n = args.k, args.n
+    cases, failures = _centered_mismatches(k, n)
     payload = {
         "k": k,
         "n": n,
@@ -280,7 +277,7 @@ def _cmd_centered_check(args: argparse.Namespace, seed: int) -> tuple[bytes, int
     return _json_bytes(payload), EXIT_OK if not failures else EXIT_CHECK_FAILURE
 
 
-def _report_entry(report: ComparisonReport, extra: dict) -> dict:
+def _report_entry(report, extra: dict) -> dict:
     entry = {
         "lhs": _finite(report.lhs),
         "rhs": _finite(report.rhs),
@@ -297,22 +294,17 @@ def _report_entry(report: ComparisonReport, extra: dict) -> dict:
     return entry
 
 
-def _cmd_gauss_compare(args: argparse.Namespace, seed: int) -> tuple[bytes, int]:
+def _cmd_gauss_compare(args: argparse.Namespace) -> tuple[bytes, int]:
+    from .wick import check_warmup, check_with_brackets
     k, n = args.k, args.n
     entries = []
     if args.brackets:
         for spec in _bracket_specs(k):
             entries.append(_report_entry(check_with_brackets(spec, n), _spec_fields(spec)))
     else:
-        indices = _index_tuples(k)
-        for eps, x, y in itertools.product(_all_epsilons(k), indices, indices):
-            report = check_warmup(x, y, eps, n)
-            entries.append(
-                _report_entry(
-                    report,
-                    {"eps": "".join(eps.signs), "x": list(x), "y": list(y)},
-                )
-            )
+        for eps, x, y in _warmup_cases(k):
+            fields = {"eps": "".join(eps.signs), "x": list(x), "y": list(y)}
+            entries.append(_report_entry(check_warmup(x, y, eps, n), fields))
     failures = sum(1 for e in entries if e["passes"] is False and not e["skipped"])
     skipped = sum(1 for e in entries if e["skipped"])
     payload = {
@@ -328,9 +320,10 @@ def _cmd_gauss_compare(args: argparse.Namespace, seed: int) -> tuple[bytes, int]
     return _json_bytes(payload), EXIT_OK if failures == 0 else EXIT_CHECK_FAILURE
 
 
-def _cmd_free_norm(args: argparse.Namespace, seed: int) -> tuple[bytes, int]:
-    pencil = _load_pencil(args.pencil)
-    estimate = astar_norm_lower(pencil, args.m, seed=seed)
+def _cmd_free_norm(args: argparse.Namespace) -> tuple[bytes, int]:
+    from .freegroup import astar_norm_lower, rho_k
+    pencil = _load_pencil(Path(args.pencil))
+    estimate = astar_norm_lower(pencil, args.m, seed=_seed(args))
     rho_table = {str(k): rho_k(pencil, k) for k in range(1, args.k_max + 1)}
     payload = {
         "d": pencil.d,
@@ -343,6 +336,7 @@ def _cmd_free_norm(args: argparse.Namespace, seed: int) -> tuple[bytes, int]:
 
 
 def _parse_grid(text: str) -> list[float]:
+    from .symcore import CapacityError
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("lambda grid must be LO:HI:STEP")
@@ -357,18 +351,16 @@ def _parse_grid(text: str) -> list[float]:
     return [lo + i * step for i in range(int(span) + 1)]
 
 
-def _cmd_nb_spectrum(args: argparse.Namespace, seed: int) -> tuple[bytes, int]:
+def _cmd_nb_spectrum(args: argparse.Namespace) -> tuple[bytes, int]:
+    import numpy as np
+    from .nonbacktracking import build_companion, build_nb, mapping_family
     data = json.loads(Path(args.weights).read_text())
-    raw = data["weights"] if isinstance(data, dict) else data
-    weights = _coerce_weights(_matrices_from_json(raw, "weights"))
-    if len(weights) * weights[0].shape[0] > MAX_MAPPING_DIM:
-        raise CapacityError(
-            f"dense spectrum computation capped at dimension {MAX_MAPPING_DIM}"
-        )
+    if isinstance(data, dict):  # {"weights": [...]} or the bare list
+        data = _require(data, {"weights": list}, "weights file")["weights"]
+    matrices = _require(data, list, "weights file")
+    weights = mapping_family([_matrix_from_json(entry) for entry in matrices])
     op = build_nb(weights, side=args.side)
-    spectrum = sorted(
-        np.linalg.eigvals(op.matrix), key=lambda z: (z.real, z.imag)
-    )
+    spectrum = sorted(np.linalg.eigvals(op.matrix), key=lambda z: (z.real, z.imag))
     grid = []
     for lam in _parse_grid(args.lambda_grid):
         try:
@@ -386,36 +378,34 @@ def _cmd_nb_spectrum(args: argparse.Namespace, seed: int) -> tuple[bytes, int]:
     return _json_bytes(payload), EXIT_OK
 
 
-def _cmd_freeness(args: argparse.Namespace, seed: int) -> tuple[bytes, int]:
+def _cmd_freeness(args: argparse.Namespace) -> tuple[bytes, int]:
+    from .haarmodel import ModelConfig, freeness_experiment
     config_path = Path(args.config)
-    config = json.loads(config_path.read_text())
-    if not isinstance(config, dict):
-        raise ValueError("freeness config must be a JSON object")
-    if config.get("seed") is not None and type(config["seed"]) is not int:
-        raise ValueError('config "seed" must be an integer')
-    if not isinstance(config["pencil"], str):
-        raise ValueError('config "pencil" must be a file path string')
-    pencil_path = Path(config["pencil"])
-    if not pencil_path.is_absolute():
-        pencil_path = config_path.parent / pencil_path
-    sizes = config["n"]
-    d, q_minus, q_plus = (config[key] for key in ("d", "q_minus", "q_plus"))
-    if not isinstance(sizes, list) or any(
-        type(value) is not int for value in [*sizes, d, q_minus, q_plus]
-    ):
-        raise ValueError('config "n" must list integers; "d", "q_minus", "q_plus" be integers')
-    pencil = _load_pencil(str(pencil_path))
+    config = _require(
+        json.loads(config_path.read_text()),
+        {
+            "n": [int],
+            "d": int,
+            "q_minus": int,
+            "q_plus": int,
+            "pencil": str,
+            "seed": (int, None),
+        },
+        "freeness config",
+    )
+    seed = _seed(args, config.get("seed"))
+    pencil = _load_pencil(config_path.parent / config["pencil"])
     configs = [
         ModelConfig(
             n=n,
-            d=d,
-            q_minus=q_minus,
-            q_plus=q_plus,
+            d=config["d"],
+            q_minus=config["q_minus"],
+            q_plus=config["q_plus"],
             coeff_dim=pencil.coeff_dim,
             pencil=pencil,
             seed=seed,
         )
-        for n in sizes
+        for n in config["n"]
     ]
     table = freeness_experiment(configs, trials=args.trials, threads=args.threads)
     lines = ["n,trial,seed,restricted_norm,astar_estimate,deviation,wall_time_ms"]
@@ -427,22 +417,18 @@ def _cmd_freeness(args: argparse.Namespace, seed: int) -> tuple[bytes, int]:
     return ("\n".join(lines) + "\n").encode(), EXIT_OK
 
 
-def _infer_generator_count(words: Sequence[Sequence[int]]) -> int:
-    d = 1
-    for letters in words:
-        for letter in letters:
-            d = max(d, letter // 2 + 1)
-    return d
-
-
-def _cmd_linearize(args: argparse.Namespace, seed: int) -> tuple[bytes, int]:
-    data = json.loads(Path(args.poly).read_text())
-    if not isinstance(data, list) or not all(isinstance(entry, dict) for entry in data):
-        raise ValueError("polynomial file must be a JSON list of {word, matrix}")
+def _cmd_linearize(args: argparse.Namespace) -> tuple[bytes, int]:
+    from .freegroup import ReducedWord
+    from .linearization import (
+        GroupPolynomial, sqrt_identity_residual, sqrt_pencil, symmetric_ball
+    )
+    data = _require(
+        json.loads(Path(args.poly).read_text()),
+        [{"word": [int], "matrix": list}],
+        "polynomial file",
+    )
     words = [entry["word"] for entry in data]
-    if not all(isinstance(word, list) and all(type(l) is int for l in word) for word in words):
-        raise ValueError('each "word" must be a JSON list of integer letters')
-    inferred = _infer_generator_count(words)
+    inferred = max([1] + [letter // 2 + 1 for word in words for letter in word])
     d = args.d if args.d is not None else inferred
     if d < inferred:
         raise ValueError(f"--d {d} too small for the letters present (need {inferred})")
@@ -454,6 +440,7 @@ def _cmd_linearize(args: argparse.Namespace, seed: int) -> tuple[bytes, int]:
     support = symmetric_ball(d, (poly.degree + 1) // 2)
     result = sqrt_pencil(poly, support)
     residual = sqrt_identity_residual(result, poly)
+    root = result.pencil
     payload = {
         "d": d,
         "degree": poly.degree,
@@ -464,9 +451,9 @@ def _cmd_linearize(args: argparse.Namespace, seed: int) -> tuple[bytes, int]:
         "pencil": [
             {
                 "word": list(w.letters),
-                "matrix": _matrix_to_json(result.pencil.coefficient(w)),
+                "matrix": [[[z.real, z.imag] for z in row] for row in root.coefficient(w)],
             }
-            for w in result.pencil.support
+            for w in root.support
         ],
     }
     code = EXIT_OK if residual <= LINEARIZE_RESIDUAL_TOL else EXIT_CHECK_FAILURE
@@ -478,6 +465,7 @@ def _cmd_linearize(args: argparse.Namespace, seed: int) -> tuple[bytes, int]:
 
 
 def _check_wg_closed_forms() -> tuple[bool, str]:
+    from .weingarten import wg_exact
     for n in range(2, 7):
         table = wg_exact(2, n)
         if table.values[(1, 1)] != Fraction(1, n * n - 1):
@@ -490,6 +478,7 @@ def _check_wg_closed_forms() -> tuple[bool, str]:
 
 
 def _check_known_moments() -> tuple[bool, str]:
+    from .weingarten import haar_moment
     for n in range(2, 7):
         checks = [
             (((1, 1), (1, 1), (1, 1), (1, 1)), Fraction(2, n * (n + 1))),
@@ -503,6 +492,8 @@ def _check_known_moments() -> tuple[bool, str]:
 
 
 def _check_catalan() -> tuple[bool, str]:
+    from .symcore import all_permutations, cycle_type
+    from .weingarten import catalan, hurwitz_count
     for k in range(1, 5):
         for sigma in all_permutations(k):
             expected = 1
@@ -515,28 +506,26 @@ def _check_catalan() -> tuple[bool, str]:
 
 def _check_centered() -> tuple[bool, str]:
     n = 5
-    cases = 0
-    for spec in _bracket_specs(2):
-        if centered_moment(spec, n) != bracket_expansion(spec, n):
-            return False, f"route mismatch at x={spec.x}, y={spec.y}"
-        cases += 1
+    cases, failures = _centered_mismatches(2, n)
+    if failures:
+        return False, f"route mismatch at x={failures[0]['x']}, y={failures[0]['y']}"
     return True, f"{cases} matching-sum vs inclusion-exclusion cases exact at n={n}"
 
 
 def _check_warmup_grid() -> tuple[bool, str]:
+    from .wick import check_warmup
     n = 16
     cases = 0
-    for eps in _all_epsilons(2):
-        for x in _index_tuples(2):
-            for y in _index_tuples(2):
-                report = check_warmup(x, y, eps, n)
-                if report.skipped or not report.passes:
-                    return False, f"warmup failed at eps={''.join(eps.signs)}"
-                cases += 1
+    for eps, x, y in _warmup_cases(2):
+        report = check_warmup(x, y, eps, n)
+        if report.skipped or not report.passes:
+            return False, f"warmup failed at eps={''.join(eps.signs)}"
+        cases += 1
     return True, f"{cases} Gaussian-domination cases hold at k=2, n={n}"
 
 
 def _check_rho() -> tuple[bool, str]:
+    from .freegroup import MatrixPencil, rho_k
     for d in (1, 2):
         pencil = MatrixPencil.from_scalars(d, 0.0, [1.0] * (2 * d))
         for k in range(1, 9):
@@ -546,6 +535,7 @@ def _check_rho() -> tuple[bool, str]:
 
 
 def _check_resolvent() -> tuple[bool, str]:
+    from .freegroup import MatrixPencil, ReducedWord, resolvent_entries
     pencil = MatrixPencil.from_scalars(1, 0.0, [1.0, 1.0])
     root = ReducedWord.identity(1)
     value = resolvent_entries(pencil, 3.0, [root])[root][0, 0]
@@ -554,7 +544,8 @@ def _check_resolvent() -> tuple[bool, str]:
     return True, "one-generator resolvent at mu=3 within 1e-6"
 
 
-def _check_mapping(rng: np.random.Generator) -> tuple[bool, str]:
+def _check_mapping(rng) -> tuple[bool, str]:
+    from .nonbacktracking import verify_spectral_mapping
     for side in ("right", "left"):
         weights = [
             rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -565,7 +556,12 @@ def _check_mapping(rng: np.random.Generator) -> tuple[bool, str]:
     return True, "eigenvalue-kernel correspondence holds on both sides"
 
 
-def _check_sqrt(rng: np.random.Generator) -> tuple[bool, str]:
+def _check_sqrt(rng) -> tuple[bool, str]:
+    import numpy as np
+    from .freegroup import ReducedWord
+    from .linearization import (
+        GroupPolynomial, poly_norm, sqrt_identity_residual, sqrt_pencil, symmetric_ball
+    )
     support = symmetric_ball(1, 1)
     g = ReducedWord(1, (0,))
     for trial in range(5):
@@ -591,6 +587,7 @@ def _check_sqrt(rng: np.random.Generator) -> tuple[bool, str]:
 
 
 def _check_orth() -> tuple[bool, str]:
+    from .weingarten import orth_moment
     n = 4
     if orth_moment((1, 1, 1, 1), (1, 1, 1, 1), n) != Fraction(3, n * (n + 2)):
         return False, "diagonal fourth moment wrong"
@@ -601,8 +598,9 @@ def _check_orth() -> tuple[bool, str]:
     return True, "orthogonal fourth moments exact at n=4"
 
 
-def _cmd_selftest(args: argparse.Namespace, seed: int) -> tuple[bytes, int]:
-    rng = np.random.default_rng(seed)
+def _cmd_selftest(args: argparse.Namespace) -> tuple[bytes, int]:
+    import numpy as np
+    rng = np.random.default_rng(_seed(args))
     checks: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
         ("weingarten-closed-forms", _check_wg_closed_forms),
         ("known-entry-moments", _check_known_moments),
@@ -650,8 +648,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         default=os.cpu_count() or 1,
         help="worker pool size for parallel subcommands (default: machine parallelism)",
     )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="haarmoments",
@@ -732,65 +728,46 @@ def _write_payload(payload: bytes, out: Optional[str]) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def _write_manifest(manifest: RunManifest, out: Optional[str]) -> None:
+def _write_manifest(manifest: dict, out: Optional[str]) -> None:
+    """Write the run's one reproducibility record next to ``out``, else to stderr."""
     if out:
-        text = json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         Path(str(out) + ".manifest.json").write_text(text)
     else:
-        sys.stderr.write(json.dumps(asdict(manifest), sort_keys=True) + "\n")
-
-
-def _config_seed(args: argparse.Namespace) -> Optional[int]:
-    """Seed recorded in an experiment config, used when --seed is omitted."""
-    if not getattr(args, "config", None):
-        return None
-    try:
-        config = json.loads(Path(args.config).read_text())
-    except (OSError, ValueError, json.JSONDecodeError):
-        return None
-    value = config.get("seed") if isinstance(config, dict) else None
-    return value if type(value) is int else None
+        sys.stderr.write(json.dumps(manifest, sort_keys=True) + "\n")
 
 
 def dispatch(argv: Sequence[str]) -> int:
-    """Parse, run, and report one subcommand; returns the process exit code."""
+    """Parse, run, and report one subcommand; returns the process exit code.
+
+    Input, regime and capacity errors are ``ValueError``s and file errors
+    ``OSError``s; both exit 2 with the usage line.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    seed = args.seed
-    if seed is None:
-        seed = _config_seed(args)
-    if seed is None:
-        seed = secrets.randbits(63)
     started = time.perf_counter()
     try:
         if args.out and not Path(args.out).parent.is_dir():
             raise ValueError(f"--out directory {Path(args.out).parent} does not exist")
-        payload, code = args.handler(args, seed)
+        payload, code = args.handler(args)
         digest = _write_payload(payload, args.out)
-        manifest = RunManifest(
-            command=args.command,
-            parameters={
+        manifest = {
+            "command": args.command,
+            "parameters": {
                 key: value
                 for key, value in vars(args).items()
                 if key not in ("handler", "command", "seed")
             },
-            seed=seed,
-            version=__version__,
-            wall_time_s=time.perf_counter() - started,
-            output_digest=digest,
-        )
+            "seed": _seed(args),
+            "version": __version__,
+            "wall_time_s": time.perf_counter() - started,
+            "output_digest": digest,
+        }
         _write_manifest(manifest, args.out)
-    except (
-        UnsupportedRegimeError,
-        CapacityError,
-        ValueError,
-        KeyError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE

@@ -264,6 +264,10 @@ def root_return_moments(pencil: MatrixPencil, length: int) -> np.ndarray:
     if length > MAX_MOMENT_LENGTH:
         raise CapacityError(f"moment length capped at {MAX_MOMENT_LENGTH}")
     scale = pencil.coefficient_scale
+    try:
+        scale**length
+    except OverflowError:
+        raise CapacityError(f"scale**length = {scale:g}**{length} is beyond float range") from None
     table = _scaled_return_table(pencil, length)
     powers = scale ** np.arange(length + 1)
     return table * powers[:, None, None]

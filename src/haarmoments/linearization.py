@@ -223,6 +223,8 @@ def sqrt_pencil(
     positivity (``c = 1.1 |Q~| + 1`` unless a shift is imposed) and its
     Hermitian square root is cut into the columns of ``P``.
     """
+    if not poly.coefficients:
+        raise ValueError("square-root pencil needs at least one coefficient")
     if not poly.is_selfadjoint:
         raise ValueError("square-root pencil needs a self-adjoint polynomial")
     multiplicity, pairs = _pair_products(support)

@@ -45,6 +45,14 @@ def _coerce_weights(weights: Sequence) -> tuple[np.ndarray, ...]:
     return tuple(family)
 
 
+def mapping_family(weights: Sequence) -> tuple[np.ndarray, ...]:
+    """The coerced family, refused above ``MAX_MAPPING_DIM`` before any dense eigensolve."""
+    family = _coerce_weights(weights)
+    if len(family) * family[0].shape[0] > MAX_MAPPING_DIM:
+        raise CapacityError(f"dense spectrum capped at dimension {MAX_MAPPING_DIM}")
+    return family
+
+
 @dataclass(frozen=True, eq=False)
 class NBOperator:
     """A realized non-backtracking operator with its weight family."""
@@ -181,12 +189,7 @@ def verify_spectral_mapping(
     companion nearly singular; grid points separated from sigma(B) must
     keep it well conditioned.
     """
-    family = _coerce_weights(weights)
-    if len(family) * family[0].shape[0] > MAX_MAPPING_DIM:
-        raise CapacityError(
-            f"mapping verification capped at dimension {MAX_MAPPING_DIM}"
-        )
-    op = build_nb(family, side=side)
+    op = build_nb(mapping_family(weights), side=side)
     spectrum = np.linalg.eigvals(op.matrix)
     forward_failures = []
     checked = 0

@@ -45,7 +45,7 @@ class UnsupportedRegimeError(ValueError):
     """Raised outside the regime where a quantity is well defined or convergent."""
 
 
-def _integer_partitions(k: int) -> list[tuple[int, ...]]:
+def integer_partitions(k: int) -> list[tuple[int, ...]]:
     """All partitions of k, parts descending: the cycle types of S_k."""
 
     def rec(remaining: int, largest: int) -> list[tuple[int, ...]]:

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import haarmoments
-from haarmoments import cli
+from haarmoments import cli, nonbacktracking, weingarten
 from haarmoments.symcore import CapacityError
 
 
@@ -26,6 +26,26 @@ def run_cli(*argv, env_extra=None, cwd=None):
         cwd=cwd,
         timeout=600,
     )
+
+
+def modules_after(argv):
+    """Exit code of ``cli.dispatch(argv)`` in a fresh interpreter, and the
+    modules that interpreter then holds."""
+    src = os.path.dirname(os.path.dirname(haarmoments.__file__))
+    env = os.environ.copy()
+    env.pop("HAARMOMENTS_CACHE", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import json, sys\n"
+        "from haarmoments import cli\n"
+        f"code = cli.dispatch({list(argv)!r})\n"
+        "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stderr.splitlines()[-1])
 
 
 def write_uniform_pencil(path):
@@ -72,7 +92,7 @@ class TestOutputErrors:
         def kernel_must_not_run(*args):
             raise AssertionError("the Weingarten solve ran before --out was checked")
 
-        monkeypatch.setattr(cli, "wg_exact", kernel_must_not_run)
+        monkeypatch.setattr(weingarten, "wg_exact", kernel_must_not_run)
         out = tmp_path / "missing" / "x.json"
         code = cli.dispatch(["wg-table", "--k", "2", "--n", "3", "--out", str(out)])
         err = capsys.readouterr().err
@@ -106,6 +126,27 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.strip() == b"[]"
 
+    def test_help_loads_no_numpy_and_no_layer(self):
+        code, modules = modules_after(["--help"])
+        assert code == 0
+        assert [m for m in modules if m.split(".")[0] in ("numpy", "scipy")] == []
+        layers = [m for m in modules if m.startswith("haarmoments.")]
+        assert layers == ["haarmoments.cli"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["wg-table", "--k", "2", "--n", "3"],
+            ["centered-check", "--k", "2", "--n", "5"],
+            ["gauss-compare", "--k", "2", "--n", "16"],
+        ],
+        ids=["wg-table", "centered-check", "gauss-compare"],
+    )
+    def test_exact_commands_load_no_numpy(self, argv):
+        code, modules = modules_after(argv)
+        assert code == 0
+        assert [m for m in modules if m.split(".")[0] == "numpy"] == []
+
 
 class TestMalformedInputFiles:
     ENTRY = [[[1.0, 0.0]]]
@@ -128,6 +169,34 @@ class TestMalformedInputFiles:
         proc = run_cli(command, flag, str(path), *extra)
         assert proc.returncode == 2
         assert b"error:" in proc.stderr
+        assert b"Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "command, flag, content, extra, message",
+        [
+            ("free-norm", "--pencil", {"d": 2, "coeff_dim": 1}, ["--m", "4"],
+             'pencil file is missing "a"'),
+            ("nb-spectrum", "--weights", {"family": [ENTRY] * 4},
+             ["--lambda-grid", "0.5:1.0:0.5"], 'weights file is missing "weights"'),
+            ("linearize", "--poly", [{"word": [0]}], [],
+             'polynomial file item is missing "matrix"'),
+            ("linearize", "--poly", [], [],
+             "square-root pencil needs at least one coefficient"),
+            ("linearize", "--poly", [{"word": [-1], "matrix": ENTRY}], [],
+             "letter -1 outside 0..1"),
+            ("freeness", "--config",
+             {"n": [6], "q_minus": 0, "q_plus": 1, "pencil": "pencil.json"},
+             ["--trials", "1"], 'freeness config is missing "d"'),
+        ],
+        ids=["pencil-no-a", "weights-no-weights", "poly-no-matrix", "poly-empty",
+             "poly-negative-letter", "config-no-d"],
+    )
+    def test_error_names_the_fault(self, tmp_path, command, flag, content, extra, message):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        proc = run_cli(command, flag, str(path), *extra)
+        assert proc.returncode == 2
+        assert b"error: " + message.encode() in proc.stderr
         assert b"Traceback" not in proc.stderr
 
 
@@ -321,9 +390,9 @@ class TestNbSpectrum:
         def refuse(*args, **kwargs):
             raise AssertionError("the operator was built before the cap check")
 
-        monkeypatch.setattr(cli, "build_nb", refuse)
+        monkeypatch.setattr(nonbacktracking, "build_nb", refuse)
         weights = tmp_path / "weights.json"
-        count = cli.MAX_MAPPING_DIM + 2
+        count = nonbacktracking.MAX_MAPPING_DIM + 2
         weights.write_text(json.dumps({"weights": [[[[0.5, 0.0]]]] * count}))
         code = cli.dispatch(
             ["nb-spectrum", "--weights", str(weights), "--lambda-grid", "0:1:0.5"]

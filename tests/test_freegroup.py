@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -344,6 +345,15 @@ class TestRootReturnMoments:
         for m in range(length + 1):
             assert np.allclose(columns[:2], moments[m], atol=1e-10)
             columns = ball.matrix @ columns
+
+    def test_unrepresentable_scale_power_refused(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CapacityError, match="beyond float range"):
+                root_return_moments(uniform_pencil(2, weight=1.5), 2000)
+            with pytest.raises(CapacityError, match="beyond float range"):
+                root_return_moments(uniform_pencil(2), 512)
+            assert np.all(np.isfinite(root_return_moments(uniform_pencil(2), 511)))
 
     @pytest.mark.parametrize("d,r", list(itertools.product((1, 2, 3), (1, 2, 3))))
     def test_matches_per_type_recursion_at_length_200(self, d, r):

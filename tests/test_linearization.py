@@ -230,6 +230,10 @@ class TestSqrtPencil:
         with pytest.raises(ValueError, match="outside the product set"):
             sqrt_pencil(poly, symmetric_ball(1, 1))
 
+    def test_empty_polynomial_rejected(self):
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            sqrt_pencil(GroupPolynomial(1, {}), symmetric_ball(1, 1))
+
     def test_non_selfadjoint_rejected(self):
         with pytest.raises(ValueError, match="self-adjoint"):
             sqrt_pencil(scalar_poly(1, {(0,): 1.0}), symmetric_ball(1, 1))
