@@ -354,6 +354,7 @@ def _parse_grid(text: str) -> list[float]:
 def _cmd_nb_spectrum(args: argparse.Namespace) -> tuple[bytes, int]:
     import numpy as np
     from .nonbacktracking import build_companion, build_nb, mapping_family
+    lambdas = _parse_grid(args.lambda_grid)
     data = json.loads(Path(args.weights).read_text())
     if isinstance(data, dict):  # {"weights": [...]} or the bare list
         data = _require(data, {"weights": list}, "weights file")["weights"]
@@ -362,7 +363,7 @@ def _cmd_nb_spectrum(args: argparse.Namespace) -> tuple[bytes, int]:
     op = build_nb(weights, side=args.side)
     spectrum = sorted(np.linalg.eigvals(op.matrix), key=lambda z: (z.real, z.imag))
     grid = []
-    for lam in _parse_grid(args.lambda_grid):
+    for lam in lambdas:
         try:
             companion = build_companion(op.weights, lam, tol=0.0)
             smallest = _finite(companion.min_singular_value)

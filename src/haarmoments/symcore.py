@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from functools import lru_cache
+from typing import Hashable, Iterable, Iterator
 
 #: Sign marking an unconjugated position in an epsilon sequence.
 DOT = "."
@@ -214,6 +215,7 @@ class SetPartition:
     """
 
     blocks: tuple[frozenset[int], ...]
+    _k: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         canonical = tuple(sorted((frozenset(b) for b in self.blocks), key=min))
@@ -222,6 +224,7 @@ class SetPartition:
         k = len(elements)
         if elements != list(range(1, k + 1)):
             raise ValueError(f"blocks do not partition {{1..{k}}}: {canonical}")
+        object.__setattr__(self, "_k", k)
 
     @classmethod
     def singletons(cls, k: int) -> "SetPartition":
@@ -229,7 +232,7 @@ class SetPartition:
 
     @property
     def k(self) -> int:
-        return sum(len(b) for b in self.blocks)
+        return self._k
 
     def is_coarser_than(self, other: "SetPartition") -> bool:
         """True when every block of ``other`` sits inside a block of self."""
@@ -291,12 +294,19 @@ class EpsilonSequence:
     """A sequence of signs over dots and bars, marking conjugated factors."""
 
     signs: tuple[str, ...]
+    _dots: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _bars: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "signs", tuple(self.signs))
-        bad = [s for s in self.signs if s not in (DOT, BAR)]
-        if bad:
+        signs = tuple(self.signs)
+        dots = tuple(l for l, s in enumerate(signs, start=1) if s == DOT)
+        bars = tuple(l for l, s in enumerate(signs, start=1) if s == BAR)
+        if len(dots) + len(bars) != len(signs):
+            bad = [s for s in signs if s not in (DOT, BAR)]
             raise ValueError(f"signs must be DOT or BAR, got {bad}")
+        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "_dots", dots)
+        object.__setattr__(self, "_bars", bars)
 
     @classmethod
     def from_string(cls, text: str) -> "EpsilonSequence":
@@ -308,13 +318,13 @@ class EpsilonSequence:
 
     def dots(self) -> tuple[int, ...]:
         """Positions carrying a dot, in increasing order (1-based)."""
-        return tuple(l for l, s in enumerate(self.signs, start=1) if s == DOT)
+        return self._dots
 
     def bars(self) -> tuple[int, ...]:
-        return tuple(l for l, s in enumerate(self.signs, start=1) if s == BAR)
+        return self._bars
 
     def is_balanced(self) -> bool:
-        return len(self.dots()) == len(self.bars())
+        return len(self._dots) == len(self._bars)
 
 
 @dataclass(frozen=True)
@@ -349,20 +359,37 @@ class EpsilonMatching:
 
 
 def epsilon_matchings(eps: EpsilonSequence) -> list[EpsilonMatching]:
-    """All dot-to-bar matchings of ``eps``: (k/2)! of them, none if unbalanced."""
+    """All dot-to-bar matchings of ``eps``: (k/2)! of them, none if unbalanced.
+
+    Enumerated once per sign sequence; every call returns a fresh list.
+    """
+    return list(_epsilon_matchings(eps))
+
+
+@lru_cache(maxsize=None)
+def _epsilon_matchings(eps: EpsilonSequence) -> tuple[EpsilonMatching, ...]:
     if not eps.is_balanced():
-        return []
+        return ()
     if eps.k > MAX_PAIR_ENUMERATION:
         raise CapacityError(
             f"(k/2)! matchings at k = {eps.k}; enumeration is capped at"
             f" k = {MAX_PAIR_ENUMERATION}"
         )
     dots, bars = eps.dots(), eps.bars()
-    out = []
-    for assigned in itertools.permutations(bars):
-        pairs = tuple(zip(dots, assigned))
-        out.append(EpsilonMatching(eps, PairPartition(pairs)))
-    return out
+    return tuple(
+        EpsilonMatching(eps, PairPartition(tuple(zip(dots, assigned))))
+        for assigned in itertools.permutations(bars)
+    )
+
+
+def first_appearance(labels: Iterable[Hashable]) -> tuple[int, ...]:
+    """``labels`` renumbered 1, 2, ... in order of first appearance.
+
+    Two label sequences have the same renumbering exactly when a bijection
+    of labels carries one onto the other.
+    """
+    numbers: dict[Hashable, int] = {}
+    return tuple(numbers.setdefault(label, len(numbers) + 1) for label in labels)
 
 
 def delta_perm(sigma: Permutation, x: tuple[int, ...], y: tuple[int, ...]) -> int:

@@ -30,6 +30,7 @@ from .symcore import (
     cycle_type,
     delta_pairs,
     enumerate_pair_partitions,
+    first_appearance,
     join,
     transposition_distance,
 )
@@ -403,12 +404,23 @@ def haar_moment_signed(
     """Exact value of ``E(prod_i U^{eps_i}_{x_i y_i})``.
 
     Dots are plain entries, bars conjugated ones.  Unbalanced sign sequences
-    integrate to zero by the phase invariance of the Haar measure.
+    integrate to zero by the phase invariance of the Haar measure.  The
+    moment is invariant under ``U -> PUQ`` for permutation matrices ``P``
+    and ``Q``, so it is computed once per relabelling class: rows and
+    columns are renumbered in order of first appearance and the value is
+    memoised on that canonical key.
     """
     if len(x) != eps.k or len(y) != eps.k:
         raise ValueError("index tuples must match the sign sequence's length")
     if not eps.is_balanced():
         return Fraction(0)
+    return _haar_moment_signed(first_appearance(x), first_appearance(y), eps, n)
+
+
+@lru_cache(maxsize=None)
+def _haar_moment_signed(
+    x: tuple[int, ...], y: tuple[int, ...], eps: EpsilonSequence, n: int
+) -> Fraction:
     dots, bars = eps.dots(), eps.bars()
     return haar_moment(
         tuple(x[l - 1] for l in dots),

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Hashable, Mapping, Optional, Sequence
 
 from .centered_wg import BracketMomentSpec, centered_moment
@@ -22,6 +23,7 @@ from .symcore import (
     CapacityError,
     EpsilonSequence,
     SetPartition,
+    first_appearance,
 )
 from .weingarten import haar_moment_signed
 
@@ -190,23 +192,40 @@ def gaussian_shifted_moment(spec: GaussianMomentSpec) -> float:
     expanded over subsets of positions into pure Wick terms.  With a
     partition it is ``E(prod_t ([prod_{i in pi_t} G^{eps_i}] + shift))``,
     expanded over subsets of brackets into centered Wick terms.
+
+    The entry covariance only tests the labels ``(x_i, y_i)`` for equality,
+    so the value is computed once per relabelling class: the labels are
+    renumbered in order of first appearance and the value is memoised on
+    that canonical key.
     """
-    k = spec.eps.k
-    labels = list(zip(spec.x, spec.y))
-    if spec.pi is None:
+    labels = first_appearance(zip(spec.x, spec.y))
+    return _gaussian_shifted_moment(labels, spec.eps, spec.shift, spec.pi)
+
+
+# Typed, so that an int shift and an equal float one, whose powers can round
+# differently, never share an entry.
+@lru_cache(maxsize=None, typed=True)
+def _gaussian_shifted_moment(
+    labels: tuple[Hashable, ...],
+    eps: EpsilonSequence,
+    shift: float,
+    pi: Optional[SetPartition],
+) -> float:
+    k = eps.k
+    if pi is None:
         if k > 12:
             raise CapacityError("subset expansion is capped at 12 positions")
         total = 0.0
         for size in range(k + 1):
             for subset in itertools.combinations(range(1, k + 1), size):
-                g = [labels[i - 1] for i in subset if spec.eps.signs[i - 1] == DOT]
-                h = [labels[i - 1] for i in subset if spec.eps.signs[i - 1] == BAR]
+                g = [labels[i - 1] for i in subset if eps.signs[i - 1] == DOT]
+                h = [labels[i - 1] for i in subset if eps.signs[i - 1] == BAR]
                 term = wick_complex(entry_covariance, g, h)
                 if term:
-                    total += complex(term).real * spec.shift ** (k - size)
+                    total += complex(term).real * shift ** (k - size)
         return total
 
-    blocks = spec.pi.blocks
+    blocks = pi.blocks
     block_count = len(blocks)
     total = 0.0
     for size in range(block_count + 1):
@@ -224,11 +243,11 @@ def gaussian_shifted_moment(spec: GaussianMomentSpec) -> float:
                 else SetPartition(())
             )
             factors = [
-                (labels[pos - 1], spec.eps.signs[pos - 1]) for pos in positions
+                (labels[pos - 1], eps.signs[pos - 1]) for pos in positions
             ]
             term = wick_centered(sub_pi, entry_covariance, factors)
             if term:
-                total += complex(term).real * spec.shift ** (block_count - size)
+                total += complex(term).real * shift ** (block_count - size)
     return total
 
 

@@ -399,6 +399,17 @@ class TestNbSpectrum:
         )
         assert code == 2
 
+    def test_grid_parsed_before_building_the_operator(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the operator was built before the grid was parsed")
+
+        monkeypatch.setattr(nonbacktracking, "build_nb", refuse)
+        weights = tmp_path / "weights.json"
+        weights.write_text(json.dumps({"weights": [[[[0.5, 0.0]]]] * 4}))
+        code = cli.dispatch(["nb-spectrum", "--weights", str(weights), "--lambda-grid", "1:2"])
+        assert code == 2
+        assert "error: lambda grid must be LO:HI:STEP" in capsys.readouterr().err
+
 
 class TestFreeness:
     def write_config(self, tmp_path, seed=5):

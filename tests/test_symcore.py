@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from haarmoments import symcore
 from haarmoments.symcore import (
     BAR,
     DOT,
@@ -122,6 +124,41 @@ def test_epsilon_matchings_counts():
     assert len(epsilon_matchings(EpsilonSequence((DOT, BAR)))) == 1
     assert epsilon_matchings(EpsilonSequence((DOT, DOT))) == []
     assert len(epsilon_matchings(EpsilonSequence((DOT, DOT, BAR, BAR)))) == 2
+
+
+def test_epsilon_matchings_cache_survives_caller_mutation():
+    eps = EpsilonSequence.from_string(".-.-")
+    full = tuple(epsilon_matchings(eps))
+    assert len(full) == 2
+    first = epsilon_matchings(eps)
+    first.append(first[0])
+    assert tuple(epsilon_matchings(eps)) == full
+    second = epsilon_matchings(eps)
+    second.clear()
+    assert tuple(epsilon_matchings(eps)) == full
+    assert epsilon_matchings(EpsilonSequence.from_string("..")) == []
+
+
+def test_epsilon_matchings_memo_equals_fresh_enumeration():
+    for k in range(0, 9, 2):
+        for signs in itertools.product((DOT, BAR), repeat=k):
+            eps = EpsilonSequence(signs)
+            if eps.is_balanced():
+                fresh = list(symcore._epsilon_matchings.__wrapped__(eps))
+                assert epsilon_matchings(eps) == fresh
+                assert epsilon_matchings(EpsilonSequence(signs)) == fresh
+
+
+def test_cached_invariants_leave_equality_hash_and_repr_alone():
+    eps = EpsilonSequence.from_string(".--.")
+    assert (eps.dots(), eps.bars(), eps.is_balanced()) == ((1, 4), (2, 3), True)
+    assert repr(eps) == "EpsilonSequence(signs=('.', '-', '-', '.'))"
+    assert hash(eps) == hash(EpsilonSequence(tuple(".--."))) and eps == EpsilonSequence(".--.")
+    pi = SetPartition((frozenset({2, 3}), frozenset({1})))
+    assert pi.k == 3
+    assert repr(pi) == "SetPartition(blocks=(frozenset({1}), frozenset({2, 3})))"
+    assert pi == SetPartition((frozenset({1}), frozenset({2, 3})))
+    assert hash(pi) == hash(SetPartition((frozenset({1}), frozenset({3, 2}))))
 
 
 def test_epsilon_matching_is_dot_to_bar():

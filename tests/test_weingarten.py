@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from haarmoments import weingarten
 from haarmoments.symcore import (
+    BAR,
+    DOT,
     CapacityError,
     EpsilonSequence,
     PairPartition,
@@ -218,6 +221,45 @@ def test_signed_moment_reduces_to_plain():
     assert haar_moment_signed(
         (1, 2, 1, 2), (1, 2, 1, 2), EpsilonSequence.from_string("..--"), 5
     ) == Fraction(1, 24)
+
+
+@st.composite
+def _signed_moment_case(draw):
+    """``(x, y, eps, n)`` with k <= 6, labels from a range wider than k, n >= k."""
+    k = draw(st.integers(1, 6))
+    if k % 2 == 0 and draw(st.booleans()):
+        signs = draw(st.permutations([DOT] * (k // 2) + [BAR] * (k // 2)))
+    else:
+        signs = draw(st.lists(st.sampled_from((DOT, BAR)), min_size=k, max_size=k))
+    labels = st.lists(st.integers(1, k + 2), min_size=k, max_size=k)
+    x, y = tuple(draw(labels)), tuple(draw(labels))
+    return x, y, EpsilonSequence(tuple(signs)), draw(st.integers(k, k + 4))
+
+
+def _uncached_signed_moment(x, y, eps, n):
+    if not eps.is_balanced():
+        return Fraction(0)
+    return weingarten._haar_moment_signed.__wrapped__(x, y, eps, n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_signed_moment_case())
+def test_signed_moment_cache_matches_uncached_value(case):
+    value = haar_moment_signed(*case)
+    assert isinstance(value, Fraction)
+    assert value == _uncached_signed_moment(*case)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_signed_moment_case(), data=st.data())
+def test_signed_moment_invariant_under_row_and_column_bijections(case, data):
+    x, y, eps, n = case
+    labels = list(range(1, eps.k + 3))
+    rows = dict(zip(labels, data.draw(st.permutations(labels))))
+    cols = dict(zip(labels, data.draw(st.permutations(labels))))
+    moved = (tuple(rows[a] for a in x), tuple(cols[b] for b in y), eps, n)
+    assert _uncached_signed_moment(*moved) == _uncached_signed_moment(*case)
+    assert haar_moment_signed(*moved) == haar_moment_signed(*case)
 
 
 def test_orth_degree_two():

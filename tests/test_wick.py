@@ -4,7 +4,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from haarmoments import wick
 from haarmoments.centered_wg import BracketMomentSpec
 from haarmoments.symcore import (
     BAR,
@@ -240,6 +242,52 @@ class TestGaussianShiftedMoment:
                 shift=0.0,
                 pi=SetPartition.singletons(4),
             )
+
+
+@st.composite
+def shifted_moment_specs(draw):
+    """Specs with k <= 6, labels from a range wider than k, with and without pi."""
+    k = draw(st.integers(1, 6))
+    labels = st.lists(st.integers(1, k + 2), min_size=k, max_size=k)
+    signs = draw(st.lists(st.sampled_from((DOT, BAR)), min_size=k, max_size=k))
+    pi = None
+    if draw(st.booleans()):
+        groups: dict[int, set[int]] = {}
+        owners = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+        for position, group in enumerate(owners, start=1):
+            groups.setdefault(group, set()).add(position)
+        pi = SetPartition(tuple(frozenset(b) for b in groups.values()))
+    shift = draw(st.floats(0.0, 4.0, allow_nan=False))
+    return GaussianMomentSpec(
+        x=tuple(draw(labels)), y=tuple(draw(labels)), eps=EpsilonSequence(tuple(signs)),
+        shift=shift, pi=pi,
+    )
+
+
+def uncached_shifted_moment(spec):
+    return wick._gaussian_shifted_moment.__wrapped__(
+        tuple(zip(spec.x, spec.y)), spec.eps, spec.shift, spec.pi
+    )
+
+
+class TestShiftedMomentCache:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(spec=shifted_moment_specs())
+    def test_cached_value_is_bit_identical(self, spec):
+        assert gaussian_shifted_moment(spec).hex() == uncached_shifted_moment(spec).hex()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(spec=shifted_moment_specs(), data=st.data())
+    def test_invariant_under_row_and_column_bijections(self, spec, data):
+        labels = list(range(1, spec.eps.k + 3))
+        rows = dict(zip(labels, data.draw(st.permutations(labels))))
+        cols = dict(zip(labels, data.draw(st.permutations(labels))))
+        moved = GaussianMomentSpec(
+            x=tuple(rows[a] for a in spec.x), y=tuple(cols[b] for b in spec.y),
+            eps=spec.eps, shift=spec.shift, pi=spec.pi,
+        )
+        assert uncached_shifted_moment(moved).hex() == uncached_shifted_moment(spec).hex()
+        assert gaussian_shifted_moment(moved).hex() == gaussian_shifted_moment(spec).hex()
 
 
 class TestCheckWarmup:
