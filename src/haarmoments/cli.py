@@ -419,6 +419,7 @@ def _cmd_freeness(args: argparse.Namespace) -> tuple[bytes, int]:
 
 
 def _cmd_linearize(args: argparse.Namespace) -> tuple[bytes, int]:
+    import numpy as np
     from .freegroup import ReducedWord
     from .linearization import (
         GroupPolynomial, sqrt_identity_residual, sqrt_pencil, symmetric_ball
@@ -442,6 +443,13 @@ def _cmd_linearize(args: argparse.Namespace) -> tuple[bytes, int]:
     result = sqrt_pencil(poly, support)
     residual = sqrt_identity_residual(result, poly)
     root = result.pencil
+    pencil = []
+    for w in root.support:
+        matrix = root.coefficient(w)
+        pencil.append({
+            "word": list(w.letters),
+            "matrix": np.stack([matrix.real, matrix.imag], -1).tolist(),
+        })
     payload = {
         "d": d,
         "degree": poly.degree,
@@ -449,13 +457,7 @@ def _cmd_linearize(args: argparse.Namespace) -> tuple[bytes, int]:
         "shift": result.shift,
         "effective_shift": result.effective_shift,
         "residual": residual,
-        "pencil": [
-            {
-                "word": list(w.letters),
-                "matrix": [[[z.real, z.imag] for z in row] for row in root.coefficient(w)],
-            }
-            for w in root.support
-        ],
+        "pencil": pencil,
     }
     code = EXIT_OK if residual <= LINEARIZE_RESIDUAL_TOL else EXIT_CHECK_FAILURE
     return _json_bytes(payload), code

@@ -198,18 +198,31 @@ class SqrtPencilResult(NamedTuple):
     effective_shift: float
 
 
-def _pair_products(
-    support: SymmetricSupport,
-) -> tuple[dict[ReducedWord, int], list[tuple[int, int, ReducedWord]]]:
-    multiplicity: dict[ReducedWord, int] = {}
-    pairs = []
-    for i, g in enumerate(support.words):
-        g_inv = word_inverse(g)
-        for j, h in enumerate(support.words):
-            word = word_concat(g_inv, h)
-            multiplicity[word] = multiplicity.get(word, 0) + 1
-            pairs.append((i, j, word))
-    return multiplicity, pairs
+def _product_table(
+    words: Sequence[ReducedWord],
+) -> tuple[dict[tuple[int, ...], int], np.ndarray]:
+    """Distinct reduced products ``g_i^-1 g_j`` and the ``(m, m)`` index into them.
+
+    Products are letter tuples, numbered in order of first appearance, row
+    by row.  With ``l`` letters shared at the front of ``g`` and ``h``, the
+    product is ``inverse(g)[:len(g) - l] + h[l:]``.
+    """
+    letters = [w.letters for w in words]
+    position: dict[tuple[int, ...], int] = {}
+    index = np.empty((len(words), len(words)), dtype=np.intp)
+    for i, (g, word) in enumerate(zip(letters, words)):
+        g_inv = word_inverse(word).letters
+        row = []
+        for h in letters:
+            common = 0
+            for a, b in zip(g, h):
+                if a != b:
+                    break
+                common += 1
+            product = g_inv[:len(g_inv) - common] + h[common:]
+            row.append(position.setdefault(product, len(position)))
+        index[i] = row
+    return position, index
 
 
 def sqrt_pencil(
@@ -227,18 +240,22 @@ def sqrt_pencil(
         raise ValueError("square-root pencil needs at least one coefficient")
     if not poly.is_selfadjoint:
         raise ValueError("square-root pencil needs a self-adjoint polynomial")
-    multiplicity, pairs = _pair_products(support)
-    for word in poly.support:
-        if word not in multiplicity:
-            raise ValueError("polynomial support reaches outside the product set")
+    position, index = _product_table(support.words)
+    d = support.words[0].d if support.words else None
     r = poly.coeff_shape[0]
+    stack = np.zeros((len(position), r, r), dtype=complex)
+    for word in poly.support:
+        if word.d != d or word.letters not in position:
+            raise ValueError("polynomial support reaches outside the product set")
+        # Added onto zeros, so a -0.0 entry is stored as +0.0, as any sum stores it.
+        stack[position[word.letters]] += poly.coefficients[word]
+    multiplicity = np.bincount(index.ravel())
     size = len(support)
-    divided = np.zeros((size * r, size * r), dtype=complex)
-    for i, j, word in pairs:
-        coeff = poly.coefficients.get(word)
-        if coeff is not None and np.any(coeff):
-            block = coeff / multiplicity[word]
-            divided[i * r:(i + 1) * r, j * r:(j + 1) * r] += block
+    divided = (
+        (stack / multiplicity[:, None, None])[index]
+        .transpose(0, 2, 1, 3)
+        .reshape(size * r, size * r)
+    )
     if shift is None:
         shift = 1.1 * float(np.linalg.norm(divided, 2)) + 1.0
     shifted = divided + shift * np.eye(size * r)
@@ -260,23 +277,26 @@ def sqrt_pencil(
 
 
 def adjoint_product(poly: GroupPolynomial) -> GroupPolynomial:
-    """Expand ``P* P`` over reduced word products."""
-    products: dict[ReducedWord, np.ndarray] = {}
+    """Expand ``P* P`` over reduced word products.
+
+    The blocks ``a_g^H a_h`` come from one Gram matrix of the side-by-side
+    coefficients and are summed per product ``g^-1 h`` in ``(g, h)`` order.
+    """
+    words = tuple(poly.coefficients)
     cols = poly.coeff_shape[1]
-    for g, a in poly.coefficients.items():
-        g_inv = word_inverse(g)
-        for h, b in poly.coefficients.items():
-            word = word_concat(g_inv, h)
-            term = a.conj().T @ b
-            if word in products:
-                products[word] = products[word] + term
-            else:
-                products[word] = term
-    if not products:
-        products[ReducedWord.identity(poly.d)] = np.zeros(
-            (cols, cols), dtype=complex
+    if not words:
+        return GroupPolynomial(
+            poly.d, {ReducedWord.identity(poly.d): np.zeros((cols, cols), dtype=complex)}
         )
-    return GroupPolynomial(poly.d, products)
+    position, index = _product_table(words)
+    stacked = np.hstack([poly.coefficients[w] for w in words])
+    m = len(words)
+    blocks = (stacked.conj().T @ stacked).reshape(m, cols, m, cols).transpose(0, 2, 1, 3)
+    sums = np.zeros((len(position), cols, cols), dtype=complex)
+    np.add.at(sums, index, blocks)
+    return GroupPolynomial(
+        poly.d, {ReducedWord(poly.d, p): total for p, total in zip(position, sums)}
+    )
 
 
 def sqrt_identity_residual(

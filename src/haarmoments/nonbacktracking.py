@@ -110,7 +110,10 @@ def build_companion(
 
     ``b_i(lambda) = lambda b_i (lambda^2 - b_{i*} b_i)^{-1}`` and
     ``b_0(lambda) = -1 - sum_i b_i (lambda^2 - b_{i*} b_i)^{-1} b_{i*}``;
-    the companion is their sum.
+    the companion is their sum.  A pivot ``lambda^2 - b_{i*} b_i`` whose
+    smallest singular value is at most a positive ``tol`` raises
+    ``ValueError``; with ``tol <= 0`` only an exactly singular pivot is
+    refused, by ``np.linalg.inv``'s ``LinAlgError``.
     """
     family = _coerce_weights(weights)
     ell = len(family)
@@ -119,12 +122,13 @@ def build_companion(
     total = -eye.astype(complex)
     for i in range(ell):
         pivot = lam**2 * eye - family[star(i, ell // 2)] @ family[i]
-        smallest = float(np.linalg.svd(pivot, compute_uv=False)[-1])
-        if smallest <= tol:
-            raise ValueError(
-                f"lambda^2 - b_(i*) b_i is near-singular at color {i} "
-                f"(min singular value {smallest:.3e})"
-            )
+        if tol > 0:
+            smallest = float(np.linalg.svd(pivot, compute_uv=False)[-1])
+            if smallest <= tol:
+                raise ValueError(
+                    f"lambda^2 - b_(i*) b_i is near-singular at color {i} "
+                    f"(min singular value {smallest:.3e})"
+                )
         inverse = np.linalg.inv(pivot)
         total = total - family[i] @ inverse @ family[star(i, ell // 2)]
         total = total + lam * family[i] @ inverse

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import haarmoments
@@ -364,6 +365,15 @@ class TestNbSpectrum:
         assert len(payload["spectrum"]) == 4
         assert [point["lambda"] for point in payload["grid"]] == [0.5, 1.0, 1.5, 2.0]
 
+    def test_singular_grid_point_writes_null(self, tmp_path):
+        weights = tmp_path / "weights.json"
+        weights.write_text(json.dumps({"weights": [[[[0.0, 0.0]]]] * 4}))
+        proc = run_cli("nb-spectrum", "--weights", str(weights), "--lambda-grid=-0.5:0.5:0.5")
+        assert proc.returncode == 0, proc.stderr
+        grid = json.loads(proc.stdout)["grid"]
+        assert [point["lambda"] for point in grid] == [-0.5, 0.0, 0.5]
+        assert [point["min_singular_value"] for point in grid] == [1.0, None, 1.0]
+
     def test_bad_grid_spec_exits_two(self, tmp_path):
         weights = tmp_path / "weights.json"
         weights.write_text(json.dumps({"weights": [[[[0.5, 0.0]]]] * 4}))
@@ -523,6 +533,32 @@ class TestLinearize:
         assert payload["effective_shift"] == pytest.approx(3 * payload["shift"], abs=1e-12)
         assert payload["residual"] <= 1e-8
         assert payload["support_size"] == 3
+
+    def test_pencil_matrices_encode_entry_by_entry(self, tmp_path):
+        from haarmoments.freegroup import ReducedWord
+        from haarmoments.linearization import GroupPolynomial, sqrt_pencil, symmetric_ball
+
+        def entry_pairs(matrix):
+            return [[[z.real, z.imag] for z in row] for row in matrix]
+
+        rng = np.random.default_rng(4)
+        entries, coeffs = [], {}
+        for letters, inverse in (((0,), (2,)), ((1, 0), (2, 3))):
+            block = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            for w, m in ((letters, block), (inverse, block.conj().T)):
+                coeffs[ReducedWord(2, w)] = m
+                entries.append({"word": list(w), "matrix": entry_pairs(m)})
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps(entries))
+        out = tmp_path / "pencil.json"
+        assert cli.dispatch(["linearize", "--poly", str(poly), "--out", str(out)]) == 0
+        payload = json.loads(out.read_bytes())
+        root = sqrt_pencil(GroupPolynomial(2, coeffs), symmetric_ball(2, 1)).pencil
+        expected = [
+            {"word": list(w.letters), "matrix": entry_pairs(root.coefficient(w))}
+            for w in root.support
+        ]
+        assert cli._json_bytes(payload["pencil"]) == cli._json_bytes(expected)
 
     def test_non_selfadjoint_input_exits_two(self, tmp_path):
         poly = tmp_path / "poly.json"

@@ -1,15 +1,18 @@
 """Tests for square-root pencils and the norm recursion on group polynomials."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from haarmoments.freegroup import MatrixPencil, ReducedWord, ball_spectrum_bounds
+from haarmoments.freegroup import MatrixPencil, ReducedWord, ball_spectrum_bounds, enumerate_ball
 from haarmoments.haarmodel import model_rng, sample_haar_unitary
 from haarmoments.linearization import (
     GroupPolynomial,
     SymmetricSupport,
+    _product_table,
     adjoint_product,
     as_matrix_pencil,
     evaluate_with_unitaries,
@@ -73,6 +76,36 @@ class TestWordHelpers:
     def test_concat_is_associative(self):
         u, v, w = word(2, 0, 1), word(2, 3, 2), word(2, 1, 1)
         assert word_concat(word_concat(u, v), w) == word_concat(u, word_concat(v, w))
+
+
+@st.composite
+def _word_sets(draw):
+    """A generator count, an inverse-closed word set and an arbitrary one."""
+    d = draw(st.integers(1, 3))
+    ball = enumerate_ball(d, draw(st.integers(0, 3)))
+    picked = draw(st.lists(st.sampled_from(ball), max_size=12, unique=True))
+    closed = tuple(dict.fromkeys(w for g in picked for w in (g, word_inverse(g))))
+    loose = draw(st.lists(st.sampled_from(ball), min_size=1, max_size=12, unique=True))
+    return d, closed, tuple(loose)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_word_sets())
+def test_product_table_matches_word_concat(case):
+    d, closed, loose = case
+    SymmetricSupport(closed)
+    for words in (closed, loose):
+        position, index = _product_table(words)
+        products = [ReducedWord(d, letters) for letters in position]
+        assert index.shape == (len(words), len(words))
+        pairs = Counter()
+        for i, g in enumerate(words):
+            for j, h in enumerate(words):
+                expected = word_concat(word_inverse(g), h)
+                assert products[index[i, j]] == expected
+                pairs[expected] += 1
+        multiplicity = np.bincount(index.ravel(), minlength=len(products))
+        assert dict(zip(products, multiplicity.tolist())) == pairs
 
 
 class TestGroupPolynomial:
@@ -244,7 +277,93 @@ class TestSqrtPencil:
             sqrt_pencil(poly, symmetric_ball(1, 1), shift=-5.0)
 
 
+def reference_sqrt_pencil(poly, support, shift=None):
+    """Shift and pencil columns with the divided matrix filled pair by pair."""
+    pairs = [
+        (i, j, word_concat(word_inverse(g), h))
+        for i, g in enumerate(support.words)
+        for j, h in enumerate(support.words)
+    ]
+    multiplicity = Counter(w for _, _, w in pairs)
+    r = poly.coeff_shape[0]
+    size = len(support)
+    divided = np.zeros((size * r, size * r), dtype=complex)
+    for i, j, w in pairs:
+        coeff = poly.coefficients.get(w)
+        if coeff is not None and np.any(coeff):
+            divided[i * r:(i + 1) * r, j * r:(j + 1) * r] += coeff / multiplicity[w]
+    if shift is None:
+        shift = 1.1 * float(np.linalg.norm(divided, 2)) + 1.0
+    shifted = divided + shift * np.eye(size * r)
+    eigenvalues, vectors = np.linalg.eigh((shifted + shifted.conj().T) / 2)
+    root = (vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))) @ vectors.conj().T
+    return shift, [root[:, i * r:(i + 1) * r] for i in range(size)]
+
+
+class TestSqrtPencilAssembly:
+    @pytest.mark.parametrize("d,radius,size", [(1, 1, 1), (2, 1, 2), (1, 2, 3), (2, 2, 2)])
+    def test_matches_pair_loop_bit_for_bit(self, d, radius, size):
+        rng = np.random.default_rng(100 + 10 * d + radius)
+        support = symmetric_ball(d, radius)
+        ball = enumerate_ball(d, 2 * radius)
+        chosen = rng.choice(len(ball), size=4, replace=False)
+        poly = random_selfadjoint_poly(d, [ball[int(k)] for k in chosen], size, rng)
+        # Diagonal blocks leave zero entries, which the negation turns into -0.0.
+        diagonal = np.diag(rng.standard_normal(size)).astype(complex)
+        poly = GroupPolynomial(d, {
+            **poly.coefficients,
+            word(d, 0): poly.coefficient(word(d, 0)) + diagonal,
+            word(d, d): poly.coefficient(word(d, d)) + diagonal,
+        })
+        plus = sqrt_pencil(poly, support)
+        cases = ((poly, None), (poly.scaled(-1.0), None), (poly.scaled(-1.0), plus.shift))
+        for target, shift in cases:
+            result = sqrt_pencil(target, support, shift=shift)
+            expected_shift, columns = reference_sqrt_pencil(target, support, shift)
+            assert np.array_equal(result.shift, expected_shift)
+            for w, column in zip(support.words, columns):
+                assert np.array_equal(result.pencil.coefficients[w], column)
+
+    def test_empty_and_foreign_supports_rejected(self):
+        poly = scalar_poly(1, {(): 1.0})
+        for support in (SymmetricSupport(()), symmetric_ball(2, 1)):
+            with pytest.raises(ValueError, match="outside the product set"):
+                sqrt_pencil(poly, support)
+
+
+def pairwise_adjoint_product(poly):
+    products = {}
+    for g, a in poly.coefficients.items():
+        for h, b in poly.coefficients.items():
+            w = word_concat(word_inverse(g), h)
+            products[w] = products.get(w, 0) + a.conj().T @ b
+    return products
+
+
 class TestAdjointProduct:
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 2), (2, 3)])
+    def test_matches_pairwise_products(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        ball = enumerate_ball(2, 2)
+        chosen = [ball[int(k)] for k in rng.choice(len(ball), size=7, replace=False)]
+        coeffs = {
+            w: rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for w in chosen
+        }
+        coeffs[chosen[0]] = np.zeros(shape)
+        poly = GroupPolynomial(2, coeffs)
+        expansion = adjoint_product(poly)
+        reference = pairwise_adjoint_product(poly)
+        assert set(expansion.coefficients) == set(reference)
+        scale = max(float(np.abs(m).max()) for m in reference.values())
+        for w, m in reference.items():
+            assert expansion.coefficients[w].shape == (shape[1], shape[1])
+            assert np.abs(expansion.coefficients[w] - m).max() <= 1e-12 * scale
+
+    def test_empty_polynomial(self):
+        expansion = adjoint_product(GroupPolynomial(2, {}))
+        assert list(expansion.coefficients) == [word(2)]
+        assert expansion.coefficients[word(2)].shape == (0, 0)
+
     def test_single_word_gives_identity(self):
         poly = GroupPolynomial(1, {word(1, 0): np.array([[2.0]])})
         product = adjoint_product(poly)

@@ -124,6 +124,34 @@ class TestBuildCompanion:
         with pytest.raises(ValueError):
             build_companion([np.zeros((2, 2))] * 4, 0.0)
 
+    def test_zero_tolerance_skips_the_pivot_svd(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        weights, _, _ = tensor_weights(rng, d=2, r=2, n=2)
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        build_companion(weights, 3.0 + 0.5j, tol=0.0)
+        assert calls == []
+        build_companion(weights, 3.0 + 0.5j)
+        assert len(calls) == len(weights)
+
+    def test_zero_tolerance_matrix_is_unchanged(self):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            weights, _, _ = tensor_weights(rng, d=1 + seed % 2, r=1 + seed % 3, n=2)
+            lam = complex(*rng.standard_normal(2) * 3)
+            checked = build_companion(weights, lam, tol=1e-9).matrix
+            assert np.array_equal(build_companion(weights, lam, tol=0.0).matrix, checked)
+
+    def test_exactly_singular_pivot_at_zero_tolerance(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            build_companion([np.zeros((2, 2))] * 4, 0.0, tol=0.0)
+
     def test_tensor_structure(self):
         rng = np.random.default_rng(5)
         weights, coeffs, images = tensor_weights(rng, d=2, r=2, n=3)
