@@ -118,6 +118,25 @@ def _validate_bracket_inputs(
         raise ValueError("partition and matchings must share the ground set")
 
 
+@lru_cache(maxsize=None)
+def _inclusion_exclusion_plan(
+    blocks: tuple[frozenset, ...]
+) -> tuple[tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
+    """``(sign, sorted union of A, sorted blocks outside A)`` for every subset
+    ``A`` of the blocks, in ``itertools.combinations`` order by size."""
+    block_count = len(blocks)
+    plan = []
+    for size in range(block_count + 1):
+        sign = (-1) ** (block_count - size)
+        for subset in itertools.combinations(range(block_count), size):
+            merged = tuple(sorted(itertools.chain.from_iterable(blocks[t] for t in subset)))
+            rest = tuple(
+                tuple(sorted(block)) for t, block in enumerate(blocks) if t not in subset
+            )
+            plan.append((sign, merged, rest))
+    return tuple(plan)
+
+
 def _inclusion_exclusion(
     blocks: tuple[frozenset, ...], sub_moment: Callable[[tuple[int, ...]], Fraction]
 ) -> Fraction:
@@ -125,30 +144,23 @@ def _inclusion_exclusion(
 
     ``A`` runs over subsets of the ``T`` blocks and ``m`` is ``sub_moment``
     evaluated on sorted positions; the empty product ``m(())`` is 1 and is
-    never asked for.  A term stops at its first zero factor.
+    never asked for.  A term stops at its first zero factor.  The subsets
+    and their sorted positions are planned once per block tuple.
     """
-    block_count = len(blocks)
-    if block_count > MAX_BRACKET_BLOCKS:
+    if len(blocks) > MAX_BRACKET_BLOCKS:
         raise CapacityError(
             f"inclusion-exclusion over 2^T subsets is capped at T = {MAX_BRACKET_BLOCKS}"
         )
     total = Fraction(0)
-    for size in range(block_count + 1):
-        sign = (-1) ** (block_count - size)
-        for subset in itertools.combinations(range(block_count), size):
-            chosen = set(subset)
-            merged = tuple(
-                sorted(itertools.chain.from_iterable(blocks[t] for t in chosen))
-            )
-            term = sub_moment(merged) if merged else Fraction(1)
+    for sign, merged, rest in _inclusion_exclusion_plan(blocks):
+        term = sub_moment(merged) if merged else Fraction(1)
+        if term == 0:
+            continue
+        for positions in rest:
+            term *= sub_moment(positions)
             if term == 0:
-                continue
-            for t, block in enumerate(blocks):
-                if t not in chosen:
-                    term *= sub_moment(tuple(sorted(block)))
-                    if term == 0:
-                        break
-            total += sign * term
+                break
+        total += sign * term
     return total
 
 

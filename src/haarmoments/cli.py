@@ -181,9 +181,10 @@ def _cached_wg_values(k: int, n: int, orthogonal: bool) -> dict[str, str]:
     """Weingarten table as type-key -> rational-string, memoized on disk.
 
     The cache file name is the content address (k, n, orthogonal); a hit
-    skips the Gram solve entirely.  A file that does not hold exactly the
-    requested table counts as a miss and is replaced; the replacement is
-    written to a temporary file first, so no reader sees a partial table.
+    skips building the table, unitary by characters and orthogonal by the
+    Gram solve.  A file that does not hold exactly the requested table
+    counts as a miss and is replaced; the replacement is written to a
+    temporary file first, so no reader sees a partial table.
     """
     cache_dir = os.environ.get(CACHE_ENV_VAR)
     path = None
@@ -480,6 +481,25 @@ def _check_wg_closed_forms() -> tuple[bool, str]:
     return True, "k <= 2 closed forms exact for n in 2..6"
 
 
+def _check_wg_gram_identity() -> tuple[bool, str]:
+    """The route ``wg_exact`` does not take: its tables invert the Gram matrix."""
+    from .symcore import Permutation, all_permutations, cycle_type
+    from .weingarten import wg_exact
+    for k in range(1, 5):
+        group = all_permutations(k)
+        identity = Permutation.identity(k)
+        for n in range(k, 7):
+            table = wg_exact(k, n)
+            for sigma in group:
+                total = sum(
+                    n ** len(cycle_type(sigma.compose(tau.invert()))) * table.value(tau)
+                    for tau in group
+                )
+                if total != int(sigma == identity):
+                    return False, f"Gram identity fails at k={k}, n={n}, sigma={sigma.images}"
+    return True, "sum_tau n^cycles(sigma tau^-1) Wg(tau, n) = [sigma = id], k <= 4, n in k..6"
+
+
 def _check_known_moments() -> tuple[bool, str]:
     from .weingarten import haar_moment
     for n in range(2, 7):
@@ -606,6 +626,7 @@ def _cmd_selftest(args: argparse.Namespace) -> tuple[bytes, int]:
     rng = np.random.default_rng(_seed(args))
     checks: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
         ("weingarten-closed-forms", _check_wg_closed_forms),
+        ("weingarten-gram-identity", _check_wg_gram_identity),
         ("known-entry-moments", _check_known_moments),
         ("catalan-factorizations", _check_catalan),
         ("centered-consistency", _check_centered),

@@ -1,18 +1,18 @@
 """Exact Weingarten calculus for Haar unitary and orthogonal matrices.
 
-The Weingarten function is realized by exact Gram-matrix inversion over
-arbitrary-precision rationals: ``[Wg(pq^-1, n)]`` over S_k inverts
-``[n^(cycles of pq^-1)]``, and ``[Wg_O(p, q, n)]`` over pair partitions
-inverts ``[n^(blocks of p v q)]``.  One centralized solve serves both groups
-with one unknown per cycle type or coset type.  The monomial expansion of Wg
-in powers of ``1/n``, with coefficients counting constrained transposition
-factorizations, is implemented independently and serves as a cross-check
-rather than as the definition.
+Tables are exact over arbitrary-precision rationals: unitary by characters,
+orthogonal by the Gram solve.  The unitary value ``Wg(sigma, n)`` is a sum
+over the irreducible characters of S_k (Murnaghan-Nakayama characters and
+hook-content dimensions, Collins & Sniady, CMP 2006), one term per partition
+of k.  The orthogonal ``[Wg_O(p, q, n)]`` over pair partitions inverts
+``[n^(blocks of p v q)]`` by a centralized solve with one unknown per coset
+type.  The monomial expansion of Wg in powers of ``1/n``, with coefficients
+counting constrained transposition factorizations, is implemented
+independently and serves as a cross-check rather than as the definition.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -60,20 +60,44 @@ def integer_partitions(k: int) -> list[tuple[int, ...]]:
     return rec(k, k)
 
 
-def _cycle_count_of_composition(outer: tuple[int, ...], inner_inverse: tuple[int, ...]) -> int:
-    """Number of cycles of l -> outer[inner_inverse[l-1]-1], without materializing it."""
-    k = len(outer)
-    seen = [False] * k
-    cycles = 0
-    for start in range(k):
-        if seen[start]:
+@lru_cache(maxsize=None)
+def _character(shape: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    """The irreducible character ``chi^shape`` of S_k at cycle type ``mu``.
+
+    Murnaghan-Nakayama on beta-sets: the beads of ``shape`` sit at
+    ``shape_i + l - i``, and a rim hook of length ``r = mu_1`` is a bead moved
+    from ``b`` to a free place ``b - r``, of sign ``(-1)^(beads passed)``.
+    """
+    if not mu:
+        return 1
+    r, rest = mu[0], mu[1:]
+    top = len(shape) - 1
+    beads = [part + top - i for i, part in enumerate(shape)]
+    total = 0
+    for b in beads:
+        if b < r or b - r in beads:
             continue
-        cycles += 1
-        l = start
-        while not seen[l]:
-            seen[l] = True
-            l = outer[inner_inverse[l] - 1] - 1
-    return cycles
+        passed = sum(1 for c in beads if b - r < c < b)
+        moved = sorted((b - r if c == b else c for c in beads), reverse=True)
+        smaller = tuple(c - top + i for i, c in enumerate(moved))
+        total += (-1) ** passed * _character(tuple(p for p in smaller if p), rest)
+    return total
+
+
+def _hook_content_product(shape: tuple[int, ...], n: int) -> int:
+    """``prod over cells of hook * (n + content)``.
+
+    With ``f = k!/prod(hooks)`` and ``s(1^n) = prod((n + content)/hook)``,
+    the character weight ``f^2 / (k!^2 s(1^n))`` of ``shape`` is one over
+    this product.  Contents are at least ``1 - len(shape)``, so it is
+    nonzero whenever ``n >= len(shape)``.
+    """
+    columns = [sum(1 for part in shape if part > j) for j in range(shape[0])]
+    product = 1
+    for i, part in enumerate(shape):
+        for j in range(part):
+            product *= (part - j + columns[j] - i - 1) * (n + j - i)
+    return product
 
 
 def _solve_fraction_free(matrix: list[list[int]], rhs: list[int]) -> list[Fraction]:
@@ -155,37 +179,41 @@ def _central_gram_solve(
 
 @lru_cache(maxsize=None)
 def wg_exact(k: int, n: int) -> WeingartenTable:
-    """Exact Weingarten table for degree ``k`` and dimension ``n``.
+    """Exact Weingarten table for degree ``k`` and dimension ``n``, by characters.
 
-    Solves the centralized Gram system: for each cycle type with first
-    representative ``sigma``, ``sum_tau n^(cycles(sigma tau^-1)) Wg(tau, n)``
-    is 1 when ``sigma`` is the identity and 0 otherwise.
+    ``Wg(sigma, n) = (1/k!^2) sum_lambda (f^lambda)^2 chi^lambda(sigma) /
+    s_lambda(1^n)`` over the partitions ``lambda`` of k, with exact
+    Murnaghan-Nakayama characters, hook-length dimensions ``f^lambda`` and
+    hook-content values ``s_lambda(1^n)``: one rational sum per cycle type.
+    The Gram identity ``sum_tau n^(cycles(sigma tau^-1)) Wg(tau, n) =
+    [sigma = id]`` is the independent check, in the tests and ``selftest``.
 
     Raises
     ------
     UnsupportedRegimeError
         When ``k > n``, where the Weingarten function is not uniquely defined.
     CapacityError
-        When ``k`` exceeds the S_k enumeration cap.
+        When ``k`` exceeds the symmetric-group degree cap.
     """
     if k < 1:
         raise ValueError("degree must be positive")
     if k > MAX_SYMMETRIC_DEGREE:
         raise CapacityError(
-            f"the Gram solve walks S_{k}; it is capped at k = {MAX_SYMMETRIC_DEGREE}"
+            f"unitary Weingarten tables are capped at k = {MAX_SYMMETRIC_DEGREE}"
         )
     if k > n:
         raise UnsupportedRegimeError(
             f"Weingarten values are uniquely defined only for k <= n; got k={k}, n={n}"
         )
-    # Summing over tau^-1 instead of tau keeps each cycle type and turns the
-    # overlap into cycles(sigma tau), so the one-line images need no inverse.
-    values = _central_gram_solve(
-        list(itertools.permutations(range(1, k + 1))),
-        lambda images: cycle_type(Permutation(images)),
-        _cycle_count_of_composition,
-        n,
-    )
+    shapes = integer_partitions(k)
+    products = [_hook_content_product(shape, n) for shape in shapes]
+    values = {
+        mu: sum(
+            Fraction(_character(shape, mu), product)
+            for shape, product in zip(shapes, products)
+        )
+        for mu in shapes
+    }
     return WeingartenTable(k=k, n=n, values=values)
 
 

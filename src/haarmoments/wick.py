@@ -130,6 +130,7 @@ class PathStatistics:
     even: bool
 
 
+@lru_cache(maxsize=None)
 def path_statistics(
     x: tuple[int, ...], y: tuple[int, ...], pi: SetPartition
 ) -> PathStatistics:
@@ -139,7 +140,9 @@ def path_statistics(
     positions carrying it.  A block is isolated when none of its pairs
     occurs outside the block.  The sequence is even when every row index
     has an even number of left arms and every column index an even number
-    of right arms.
+    of right arms.  Memoised on its (hashable) arguments; the statistics do
+    not depend on the signs or the shift, so one call serves every spec that
+    shares ``x``, ``y`` and ``pi``.
     """
     if len(x) != len(y) or len(x) != pi.k:
         raise ValueError("index tuples must match the partition's ground set")

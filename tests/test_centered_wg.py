@@ -245,6 +245,44 @@ def test_bracket_cap_refuses_before_any_moment(monkeypatch):
         wg_bracket(nine_pairs, p, p, 20)
 
 
+def _inclusion_exclusion_loop(blocks, sub_moment):
+    """The subset loop with its sorting done per subset, as a reference."""
+    total = Fraction(0)
+    for size in range(len(blocks) + 1):
+        sign = (-1) ** (len(blocks) - size)
+        for subset in itertools.combinations(range(len(blocks)), size):
+            merged = tuple(sorted(itertools.chain.from_iterable(blocks[t] for t in subset)))
+            term = sub_moment(merged) if merged else Fraction(1)
+            if term == 0:
+                continue
+            for t, block in enumerate(blocks):
+                if t not in subset:
+                    term *= sub_moment(tuple(sorted(block)))
+                    if term == 0:
+                        break
+            total += sign * term
+    return total
+
+
+def test_inclusion_exclusion_plan_asks_in_the_same_order():
+    # A sub-moment that vanishes on some position sets exercises both exits.
+    def recording(log):
+        def sub_moment(positions):
+            log.append(positions)
+            if sum(positions) % 5 == 0:
+                return Fraction(0)
+            return Fraction(sum(positions), len(positions) + 1)
+        return sub_moment
+
+    for k in range(1, 7):
+        for pi in all_set_partitions(k):
+            blocks = pi.blocks
+            planned, looped = [], []
+            got = centered_wg._inclusion_exclusion(blocks, recording(planned))
+            assert got == _inclusion_exclusion_loop(blocks, recording(looped))
+            assert planned == looped
+
+
 def test_restricted_block_count_cases():
     assert restricted_block_count(PI_22, P_ID, P_ID) == 2
     assert restricted_block_count(PI_22, P_ID, P_CROSS) == 0

@@ -1,4 +1,6 @@
+import itertools
 from fractions import Fraction
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from haarmoments.weingarten import (
     haar_moment,
     haar_moment_signed,
     hurwitz_count,
+    integer_partitions,
     orth_moment,
     wg_exact,
     wg_orth_exact,
@@ -110,6 +113,82 @@ def test_wg_centrality():
             if cycle_type(sigma) == ct
         }
         assert len(values) == 1
+
+
+def _cycles_of_product(p, q):
+    """Number of cycles of ``l -> p[q[l-1]-1]``, both in one-line notation."""
+    seen = [False] * len(p)
+    cycles = 0
+    for start in range(len(p)):
+        if not seen[start]:
+            cycles += 1
+            l = start
+            while not seen[l]:
+                seen[l] = True
+                l = p[q[l] - 1] - 1
+    return cycles
+
+
+def _gram_table(k, n):
+    """Wg by the Gram solve over all of S_k, the route wg_exact does not take.
+
+    Summing over tau^-1 keeps each cycle type, so the overlap of sigma with
+    tau^-1 is cycles(sigma tau) on one-line images."""
+    return weingarten._central_gram_solve(
+        list(itertools.permutations(range(1, k + 1))),
+        lambda images: cycle_type(Permutation(images)),
+        _cycles_of_product,
+        n,
+    )
+
+
+def test_wg_characters_match_gram_solve():
+    cases = [(k, n) for k in range(1, 8) for n in range(k, 13)] + [(8, 10)]
+    for k, n in cases:
+        assert wg_exact(k, n).values == _gram_table(k, n), (k, n)
+
+
+def _hook_dimension(shape):
+    """f^shape = k!/prod(hooks), hooks counted cell by cell."""
+    hooks = [
+        part - j + sum(1 for below in shape[i + 1:] if below > j)
+        for i, part in enumerate(shape)
+        for j in range(part)
+    ]
+    return factorial(sum(shape)) // prod(hooks)
+
+
+def test_characters_orthogonal_with_hook_dimensions():
+    # sum_mu (k!/z_mu) chi^lambda(mu) chi^nu(mu) = k! [lambda = nu].
+    for k in range(1, 9):
+        shapes = integer_partitions(k)
+        class_sizes = {
+            mu: factorial(k)
+            // prod(part ** mu.count(part) * factorial(mu.count(part)) for part in set(mu))
+            for mu in shapes
+        }
+        for lam in shapes:
+            assert weingarten._character(lam, (1,) * k) == _hook_dimension(lam)
+            for nu in shapes:
+                inner = sum(
+                    size * weingarten._character(lam, mu) * weingarten._character(nu, mu)
+                    for mu, size in class_sizes.items()
+                )
+                assert inner == (factorial(k) if lam == nu else 0), (lam, nu)
+        for mu in shapes:
+            # The sign character, and fixed points minus one for (k-1, 1).
+            assert weingarten._character((1,) * k, mu) == (-1) ** (k - len(mu))
+            if k > 1:
+                assert weingarten._character((k - 1, 1), mu) == mu.count(1) - 1
+
+
+def test_wg_exact_runs_without_the_gram_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("wg_exact called the Gram solve")
+
+    expected = wg_exact(8, 10).values
+    monkeypatch.setattr(weingarten, "_central_gram_solve", refuse)
+    assert wg_exact.__wrapped__(8, 10).values == expected
 
 
 def test_hurwitz_minimal_counts():

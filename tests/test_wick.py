@@ -14,6 +14,7 @@ from haarmoments.symcore import (
     CapacityError,
     EpsilonSequence,
     SetPartition,
+    enumerate_set_partitions,
 )
 from haarmoments.wick import (
     ComparisonReport,
@@ -208,6 +209,18 @@ class TestPathStatistics:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             path_statistics((1, 2), (1,), SetPartition.singletons(2))
+
+    def test_memo_matches_fresh_counts_and_keeps_refusing(self):
+        indices = list(itertools.product((1, 2), repeat=4))
+        for pi in enumerate_set_partitions(4):
+            for x in indices:
+                for y in indices:
+                    fresh = path_statistics.__wrapped__(x, y, pi)
+                    assert path_statistics(x, y, pi) == fresh
+                    assert path_statistics(x, y, pi) == fresh
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                path_statistics((1, 2), (1,), SetPartition.singletons(2))
 
 
 class TestGaussianShiftedMoment:
