@@ -2,7 +2,7 @@
 
 The decay estimates compare exact rationals against bounds involving
 ``k^(7/2)``, ``k^(7/4)`` and similar irrational constants.  These helpers
-produce rational lower bounds with a chosen number of decimal digits, so
+produce rational lower bounds with ``ROOT_DIGITS`` decimal digits, so
 inequality checks stay exact: substituting a lower bound into a
 monotone-increasing right-hand side only strengthens the assertion.
 """
@@ -11,6 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+
+#: Decimal digits of the rational lower bounds from ``root_lower``.
+ROOT_DIGITS = 24
 
 
 def integer_root(x: int, degree: int) -> int:
@@ -36,12 +39,12 @@ def integer_root(x: int, degree: int) -> int:
     return root
 
 
-def root_lower(value: Fraction | int, degree: int, digits: int = 24) -> Fraction:
-    """A rational r with r <= value ** (1/degree)."""
+def root_lower(value: Fraction | int, degree: int) -> Fraction:
+    """A rational r with r <= value ** (1/degree), to ``ROOT_DIGITS`` decimals."""
     value = Fraction(value)
     if value < 0:
         raise ValueError("negative radicand")
-    scale = 10**digits
+    scale = 10**ROOT_DIGITS
     scaled = (value.numerator * scale**degree) // value.denominator
     return Fraction(integer_root(scaled, degree), scale)
 

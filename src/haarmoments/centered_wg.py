@@ -26,7 +26,6 @@ from .symcore import (
     SetPartition,
     delta_pairs,
     epsilon_matchings,
-    join,
     transposition_distance,
 )
 from .weingarten import (
@@ -196,10 +195,13 @@ def wg_bracket(
 def restricted_block_count(
     pi: SetPartition, p: EpsilonMatching, q: EpsilonMatching
 ) -> int:
-    """Number of blocks of ``pi`` that are unions of blocks of ``p v q``."""
+    """Number of blocks of ``pi`` that are unions of blocks of ``p v q``.
+
+    A block is such a union exactly when both matchings leave it invariant.
+    """
     _validate_bracket_inputs(pi, p, q)
-    joined = join(p.pairing.as_set_partition(), q.pairing.as_set_partition())
-    return sum(1 for block in pi.blocks if _leaves_invariant(joined.blocks, block))
+    pairs = p.pairing.pairs + q.pairing.pairs
+    return sum(1 for block in pi.blocks if _leaves_invariant(pairs, block))
 
 
 def centered_wg_value(
@@ -235,11 +237,12 @@ def centered_moment(spec: BracketMomentSpec, n: int) -> Fraction:
     """Exact value of the bracket moment described by ``spec``.
 
     Balanced sign sequences go through the matching sum
-    ``sum_{p,q} delta_p(x) delta_q(y) Wg[pi](p, q, n)``; unbalanced ones fall
-    back to the bracket expansion, which handles them factor by factor.
+    ``sum_{p,q} delta_p(x) delta_q(y) Wg[pi](p, q, n)``.  An unbalanced one
+    gives 0, as in :func:`haar_moment_signed`: every term of the bracket
+    expansion then has an unbalanced factor.
     """
     if not spec.eps.is_balanced():
-        return bracket_expansion(spec, n)
+        return Fraction(0)
     if spec.k // 2 > n:
         raise UnsupportedRegimeError(
             f"matching sum needs k/2 <= n; got k={spec.k}, n={n}"

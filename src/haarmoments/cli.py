@@ -100,6 +100,8 @@ def _matrix_from_json(data: object):
         raise ValueError(message) from exc
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValueError(message)
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite")
     return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
@@ -199,16 +201,12 @@ def _cached_wg_values(k: int, n: int, orthogonal: bool) -> dict[str, str]:
         _type_key(ct): _fraction_str(value) for ct, value in sorted(table.values.items())
     }
     if path is not None:
-        text = json.dumps(
-            {"k": k, "n": n, "orthogonal": orthogonal, "values": values},
-            indent=2,
-            sort_keys=True,
-        )
+        data = _json_bytes({"k": k, "n": n, "orthogonal": orthogonal, "values": values})
         path.parent.mkdir(parents=True, exist_ok=True)
         handle, temp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         try:
-            with os.fdopen(handle, "w") as out:
-                out.write(text + "\n")
+            with os.fdopen(handle, "wb") as out:
+                out.write(data)
             os.replace(temp, path)
         finally:
             if os.path.exists(temp):

@@ -43,6 +43,12 @@ MAX_MODEL_DIM = 1_000_000
 MAX_NB_DENSE_DIM = 4096
 #: Relative tolerance of the Lanczos solve for the top eigenvalue of ``M* M``.
 NORM_TOL = 1e-10
+#: Ball radius of ``astar_norm_estimate``: the level-by-level shift test makes
+#: it cheap, and it puts the estimate within about 1e-3 of the limit for the
+#: small pencils used in experiments.
+ASTAR_BALL_RADIUS = 200
+#: Word-length order of the tree growth rate ``rho_k`` in ``nb_norm_check``.
+NB_RHO_ORDER = 10
 
 _NORM_SEED_SALT = 0x5EED_0F_0E
 
@@ -272,17 +278,15 @@ def restricted_norm(inst: TensorModelInstance) -> float:
     return float(np.sqrt(top[0]))
 
 
-def astar_norm_estimate(pencil: MatrixPencil, radius: int = 200) -> float:
+def astar_norm_estimate(pencil: MatrixPencil) -> float:
     """Norm of the free limit, estimated from ball compression edges.
 
-    The level-by-level shift test makes large radii cheap, so the
-    default radius puts the estimate within about 1e-3 of the limit
-    for the small pencils used in experiments.  A pencil without
-    generator terms is its own limit and is evaluated exactly.
+    The compression is taken at radius ``ASTAR_BALL_RADIUS``.  A pencil
+    without generator terms is its own limit and is evaluated exactly.
     """
     if not any(np.any(coeff) for coeff in pencil.a):
         return float(np.linalg.norm(pencil.a0, 2))
-    low, high = ball_spectrum_bounds(pencil, radius)
+    low, high = ball_spectrum_bounds(pencil, ASTAR_BALL_RADIUS)
     return max(abs(low), abs(high))
 
 
@@ -407,11 +411,11 @@ def nb_norm_check(
     ell_values: Sequence[int],
     trials: int,
     epsilon: float = 0.25,
-    rho_order: int = 10,
 ) -> NBNormTable:
     """Power norms of the bracket non-backtracking operator per trial.
 
-    Values are compared against the tree growth rate plus ``epsilon``;
+    Values are compared against the tree growth rate ``rho_k`` of order
+    ``NB_RHO_ORDER`` plus ``epsilon``;
     the table reports the empirical exceedance frequency.
 
     Only the spectral radius ``lim_l ||B^l||^(1/l)`` is bounded by the
@@ -425,7 +429,7 @@ def nb_norm_check(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    rho_star = rho_k(cfg.pencil, rho_order)
+    rho_star = rho_k(cfg.pencil, NB_RHO_ORDER)
     rows = []
     for trial in range(trials):
         trial_seed = cfg.seed ^ trial

@@ -14,7 +14,7 @@ numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,6 +25,15 @@ from .symcore import CapacityError
 MAX_MAPPING_DIM = 3000
 #: Near-singularity threshold for the companion's inverted blocks.
 COMPANION_SINGULAR_TOL = 1e-9
+#: ``verify_spectral_mapping``: a companion counts as singular below this
+#: smallest singular value, and as invertible above it.
+MAPPING_SINGULAR_TOL = 1e-6
+#: ``verify_spectral_mapping``: grid points this close to sigma(B) are skipped.
+MAPPING_SEPARATION = 1e-2
+#: ``verify_spectral_mapping``: points whose square lies this close to the
+#: excluded spectrum, where a pivot ``lambda^2 - b_{i*} b_i`` is singular,
+#: are skipped.
+MAPPING_EXCLUSION_MARGIN = 1e-3
 
 
 def _coerce_weights(weights: Sequence) -> tuple[np.ndarray, ...]:
@@ -61,10 +70,6 @@ class NBOperator:
     weights: tuple[np.ndarray, ...]
     side: str
     matrix: np.ndarray
-
-    @property
-    def hilbert_dim(self) -> int:
-        return self.weights[0].shape[0]
 
     @property
     def dimension(self) -> int:
@@ -169,42 +174,39 @@ class SpectralMappingReport:
         return not self.forward_failures and not self.converse_failures
 
 
-def _excluded_margin(family: tuple[np.ndarray, ...], lam: complex) -> float:
-    """Distance from ``lambda^2`` to the spectra of the products ``b_{i*} b_i``."""
-    ell = len(family)
-    margin = np.inf
-    for i in range(ell):
-        product = family[star(i, ell // 2)] @ family[i]
-        for nu in np.linalg.eigvals(product):
-            margin = min(margin, abs(lam**2 - nu))
-    return float(margin)
-
-
 def verify_spectral_mapping(
-    weights: Sequence,
-    side: str = "right",
-    tol_map: float = 1e-6,
-    tol_sep: float = 1e-2,
-    exclusion_margin: float = 1e-3,
+    weights: Sequence, side: str = "right"
 ) -> SpectralMappingReport:
     """Check both directions of the spectral mapping on one weight family.
 
-    Every eigenvalue of B far enough from the excluded set must make the
-    companion nearly singular; grid points separated from sigma(B) must
-    keep it well conditioned.
+    Every eigenvalue of B whose square lies farther than
+    ``MAPPING_EXCLUSION_MARGIN`` from the excluded spectrum (the
+    eigenvalues of the products ``b_{i*} b_i``, computed once) must make
+    the companion's smallest singular value fall below
+    ``MAPPING_SINGULAR_TOL``; grid points at least as far from the excluded
+    spectrum and farther than ``MAPPING_SEPARATION`` from sigma(B) must keep
+    it above.
     """
     op = build_nb(mapping_family(weights), side=side)
     spectrum = np.linalg.eigvals(op.matrix)
+    ell = op.ell
+    excluded = np.concatenate(
+        [np.linalg.eigvals(op.weights[star(i, ell // 2)] @ op.weights[i]) for i in range(ell)]
+    )
+
+    def is_excluded(lam: complex) -> bool:
+        return np.min(np.abs(lam**2 - excluded)) <= MAPPING_EXCLUSION_MARGIN
+
     forward_failures = []
     checked = 0
     skipped = 0
     for lam in spectrum:
-        if _excluded_margin(op.weights, lam) <= exclusion_margin:
+        if is_excluded(lam):
             skipped += 1
             continue
         checked += 1
         companion = build_companion(op.weights, lam, tol=0.0)
-        if companion.min_singular_value >= tol_map:
+        if companion.min_singular_value >= MAPPING_SINGULAR_TOL:
             forward_failures.append(complex(lam))
     radius = max(1.0, float(np.max(np.abs(spectrum))) if spectrum.size else 1.0)
     axis = np.linspace(-1.5 * radius, 1.5 * radius, 7)
@@ -213,13 +215,13 @@ def verify_spectral_mapping(
     for re in axis:
         for im in axis:
             lam = complex(re, im)
-            if spectrum.size and np.min(np.abs(spectrum - lam)) <= tol_sep:
+            if spectrum.size and np.min(np.abs(spectrum - lam)) <= MAPPING_SEPARATION:
                 continue
-            if _excluded_margin(op.weights, lam) <= exclusion_margin:
+            if is_excluded(lam):
                 continue
             grid_points += 1
             companion = build_companion(op.weights, lam, tol=0.0)
-            if companion.min_singular_value <= tol_map:
+            if companion.min_singular_value <= MAPPING_SINGULAR_TOL:
                 converse_failures.append(lam)
     return SpectralMappingReport(
         dimension=op.dimension,
@@ -233,25 +235,19 @@ def verify_spectral_mapping(
 
 
 def build_b_mu(
-    pencil: MatrixPencil,
-    mu: float,
-    reps: Sequence[np.ndarray],
-    hat: Optional[Sequence[np.ndarray]] = None,
+    pencil: MatrixPencil, mu: float, reps: Sequence[np.ndarray]
 ) -> NBOperator:
     """The shifted non-backtracking operator detecting ``mu`` in sigma(A).
 
     Weights are ``hat a_j(mu) (x) V_j`` over the ``2d`` colors, with the
-    hat family computed from the pencil's tree resolvent unless supplied.
-    ``mu`` lies outside the spectrum of the realized model exactly when 1
-    avoids the spectrum of the result.
+    hat family computed from the pencil's tree resolvent.  ``mu`` lies
+    outside the spectrum of the realized model exactly when 1 avoids the
+    spectrum of the result.
     """
     colors = 2 * pencil.d
     if len(reps) != colors:
         raise ValueError(f"need {colors} representation images, got {len(reps)}")
-    if hat is None:
-        hat = hat_weights(pencil, mu)
-    if len(hat) != colors:
-        raise ValueError(f"need {colors} hat weights, got {len(hat)}")
+    hat = hat_weights(pencil, mu)
     weights = [
         np.kron(np.asarray(hat[j], dtype=complex), np.asarray(reps[j], dtype=complex))
         for j in range(colors)

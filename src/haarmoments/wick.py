@@ -191,10 +191,11 @@ class GaussianMomentSpec:
 def gaussian_shifted_moment(spec: GaussianMomentSpec) -> float:
     """E of the shifted product described by ``spec``, in double precision.
 
-    Without a partition this is ``E(prod_i (G^{eps_i}_{x_i y_i} + shift))``,
-    expanded over subsets of positions into pure Wick terms.  With a
-    partition it is ``E(prod_t ([prod_{i in pi_t} G^{eps_i}] + shift))``,
-    expanded over subsets of brackets into centered Wick terms.
+    With a partition this is ``E(prod_t ([prod_{i in pi_t} G^{eps_i}] +
+    shift))``, expanded over subsets of brackets into centered Wick terms.
+    Without one it is ``E(prod_i (G^{eps_i}_{x_i y_i} + shift))``, the same
+    expansion over singleton brackets, since an entry has mean zero; that
+    case is capped at 12 positions.
 
     The entry covariance only tests the labels ``(x_i, y_i)`` for equality,
     so the value is computed once per relabelling class: the labels are
@@ -214,20 +215,10 @@ def _gaussian_shifted_moment(
     shift: float,
     pi: Optional[SetPartition],
 ) -> float:
-    k = eps.k
     if pi is None:
-        if k > 12:
+        if eps.k > 12:
             raise CapacityError("subset expansion is capped at 12 positions")
-        total = 0.0
-        for size in range(k + 1):
-            for subset in itertools.combinations(range(1, k + 1), size):
-                g = [labels[i - 1] for i in subset if eps.signs[i - 1] == DOT]
-                h = [labels[i - 1] for i in subset if eps.signs[i - 1] == BAR]
-                term = wick_complex(entry_covariance, g, h)
-                if term:
-                    total += complex(term).real * shift ** (k - size)
-        return total
-
+        pi = SetPartition.singletons(eps.k)
     blocks = pi.blocks
     block_count = len(blocks)
     total = 0.0

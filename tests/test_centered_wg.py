@@ -27,6 +27,7 @@ from haarmoments.symcore import (
     PairPartition,
     SetPartition,
     epsilon_matchings,
+    join,
     transposition_distance,
 )
 from haarmoments.weingarten import UnsupportedRegimeError
@@ -190,6 +191,19 @@ def test_centered_moment_unbalanced_sequence():
     assert centered_moment(spec, 5) == 0
 
 
+def test_centered_moment_unbalanced_is_zero_outside_the_weingarten_regime():
+    # The bracket expansion would ask for the balanced sub-moment on
+    # {1, 2, 3, 4}, which needs k/2 <= n; every term still has an unbalanced
+    # factor, so the moment is 0 at any n.
+    spec = BracketMomentSpec(
+        pi=SetPartition((frozenset({1, 2, 3, 4}), frozenset({5}), frozenset({6}))),
+        eps=EpsilonSequence.from_string("..--.."),
+        x=(1,) * 6,
+        y=(1,) * 6,
+    )
+    assert centered_moment(spec, 1) == 0
+
+
 def test_centered_moment_matches_expansion_everywhere():
     # The matching-sum evaluation and the direct bracket expansion must agree
     # exactly for every partition of a 4-element ground set.
@@ -291,6 +305,25 @@ def test_restricted_block_count_cases():
         (frozenset({1, 2}), frozenset({3}), frozenset({4}))
     )
     assert restricted_block_count(singletons_paired, P_ID, P_ID) == 1
+
+
+def test_restricted_block_count_matches_the_join():
+    for k in (2, 4, 6):
+        partitions = all_set_partitions(k)
+        for signs in itertools.product((DOT, BAR), repeat=k):
+            eps = EpsilonSequence(signs)
+            if not eps.is_balanced():
+                continue
+            matchings = epsilon_matchings(eps)
+            for p, q in itertools.product(matchings, repeat=2):
+                joined = join(p.pairing.as_set_partition(), q.pairing.as_set_partition())
+                for pi in partitions:
+                    unions = sum(
+                        1 for block in pi.blocks
+                        if all(piece <= block or piece.isdisjoint(block)
+                               for piece in joined.blocks)
+                    )
+                    assert restricted_block_count(pi, p, q) == unions, (pi, p, q)
 
 
 def test_restricted_hurwitz_single_block_always_empty():

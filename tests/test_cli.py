@@ -151,6 +151,8 @@ class TestStartup:
 
 class TestMalformedInputFiles:
     ENTRY = [[[1.0, 0.0]]]
+    NAN = [[[math.nan, 0.0]]]
+    INF = [[[0.0, math.inf]]]
 
     @pytest.mark.parametrize(
         "command, flag, content, extra",
@@ -188,9 +190,22 @@ class TestMalformedInputFiles:
             ("freeness", "--config",
              {"n": [6], "q_minus": 0, "q_plus": 1, "pencil": "pencil.json"},
              ["--trials", "1"], 'freeness config is missing "d"'),
+            ("free-norm", "--pencil", {"d": 2, "coeff_dim": 1, "a": [ENTRY] * 3 + [NAN]},
+             ["--m", "4"], "matrix entries must be finite"),
+            ("free-norm", "--pencil", {"d": 2, "coeff_dim": 1, "a": [ENTRY] * 4, "a0": INF},
+             ["--m", "4"], "matrix entries must be finite"),
+            ("nb-spectrum", "--weights", {"weights": [NAN, ENTRY]},
+             ["--lambda-grid", "0.5:1.0:0.5"], "matrix entries must be finite"),
+            ("nb-spectrum", "--weights", [ENTRY, INF],
+             ["--lambda-grid", "0.5:1.0:0.5"], "matrix entries must be finite"),
+            ("linearize", "--poly", [{"word": [0], "matrix": NAN}], [],
+             "matrix entries must be finite"),
+            ("linearize", "--poly", [{"word": [], "matrix": INF}], [],
+             "matrix entries must be finite"),
         ],
         ids=["pencil-no-a", "weights-no-weights", "poly-no-matrix", "poly-empty",
-             "poly-negative-letter", "config-no-d"],
+             "poly-negative-letter", "config-no-d", "pencil-nan", "pencil-infinity",
+             "weights-nan", "weights-infinity", "poly-nan", "poly-infinity"],
     )
     def test_error_names_the_fault(self, tmp_path, command, flag, content, extra, message):
         path = tmp_path / "input.json"
@@ -198,6 +213,19 @@ class TestMalformedInputFiles:
         proc = run_cli(command, flag, str(path), *extra)
         assert proc.returncode == 2
         assert b"error: " + message.encode() in proc.stderr
+        assert b"Traceback" not in proc.stderr
+
+    def test_freeness_refuses_an_infinite_pencil_entry(self, tmp_path):
+        (tmp_path / "pencil.json").write_text(
+            json.dumps({"d": 2, "coeff_dim": 1, "a": [self.ENTRY] * 3 + [self.INF]})
+        )
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"n": [6], "d": 2, "q_minus": 0, "q_plus": 1, "pencil": "pencil.json"}
+        ))
+        proc = run_cli("freeness", "--config", str(config), "--trials", "1")
+        assert proc.returncode == 2
+        assert b"error: matrix entries must be finite" in proc.stderr
         assert b"Traceback" not in proc.stderr
 
 

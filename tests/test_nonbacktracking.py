@@ -237,6 +237,22 @@ class TestVerifySpectralMapping:
         left = verify_spectral_mapping(weights, side="left")
         assert right.all_pass and left.all_pass
 
+    def test_one_eigensolve_per_excluded_product(self, monkeypatch):
+        # One for sigma(B), one per product b_{i*} b_i; none per point checked.
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return eigvals(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        rng = np.random.default_rng(4)
+        weights = [rng.standard_normal((2, 2)) for _ in range(4)]
+        report = verify_spectral_mapping(weights)
+        assert report.eigenvalues_checked + report.grid_points > 0
+        assert len(calls) == len(weights) + 1
+
     def test_dimension_cap(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the operator was built before the cap check")

@@ -15,6 +15,7 @@ from haarmoments.symcore import (
     EpsilonSequence,
     SetPartition,
     enumerate_set_partitions,
+    first_appearance,
 )
 from haarmoments.wick import (
     ComparisonReport,
@@ -255,6 +256,45 @@ class TestGaussianShiftedMoment:
                 shift=0.0,
                 pi=SetPartition.singletons(4),
             )
+
+    def test_unbracketed_expansion_is_capped_at_twelve_positions(self):
+        spec = GaussianMomentSpec(
+            x=(1,) * 13, y=(1,) * 13, eps=EpsilonSequence((DOT,) * 13), shift=0.5
+        )
+        with pytest.raises(CapacityError, match="capped at 12 positions"):
+            gaussian_shifted_moment(spec)
+
+
+def unbracketed_reference(labels, eps, shift):
+    """``E(prod_i (G^{eps_i} + shift))`` over subsets of positions, each
+    subset's term a plain Wick permanent."""
+    k = eps.k
+    total = 0.0
+    for size in range(k + 1):
+        for subset in itertools.combinations(range(1, k + 1), size):
+            g = [labels[i - 1] for i in subset if eps.signs[i - 1] == DOT]
+            h = [labels[i - 1] for i in subset if eps.signs[i - 1] == BAR]
+            term = wick_complex(entry_covariance, g, h)
+            if term:
+                total += complex(term).real * shift ** (k - size)
+    return total
+
+
+def test_unbracketed_moment_matches_the_plain_subset_expansion():
+    # Singleton brackets centre nothing, as an entry has mean zero, so the
+    # bracketed loop must give the plain expansion's floats bit for bit.
+    for k in range(1, 5):
+        patterns = [
+            p for p in itertools.product(range(1, k + 1), repeat=k)
+            if first_appearance(p) == p
+        ]
+        for signs in itertools.product((DOT, BAR), repeat=k):
+            eps = EpsilonSequence(signs)
+            for pattern in patterns:
+                for shift in (0.0, 0.37, 1, 4 * 16**-0.25):
+                    spec = GaussianMomentSpec(x=pattern, y=pattern, eps=eps, shift=shift)
+                    expected = unbracketed_reference(tuple(zip(pattern, pattern)), eps, shift)
+                    assert gaussian_shifted_moment(spec).hex() == expected.hex(), spec
 
 
 @st.composite
