@@ -13,6 +13,11 @@ Module level imports only the standard library: each handler imports the
 layers it runs, and numpy only if it needs it, so ``--help`` and the exact
 subcommands never load numpy.  Every JSON input file is checked by one
 declarative helper, ``_require``, which names the file and the key at fault.
+Every JSON payload, cache file and manifest file is written by one helper,
+``_json_bytes``, byte for byte as ``json.dumps(indent=2, sort_keys=True,
+allow_nan=False)`` would write it, but from ``%`` templates per object
+shape, one join per level of a rectangular list nest and a memo of
+repeated nests, instead of json's pure-Python indenting encoder.
 """
 
 from __future__ import annotations
@@ -60,7 +65,140 @@ def _finite(value: float) -> Optional[float]:
 
 
 def _json_bytes(payload: object) -> bytes:
-    return (json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+    """The bytes of ``json.dumps(payload, indent=2, sort_keys=True,
+    allow_nan=False) + "\\n"``, for every payload, cache file and manifest file.
+
+    ``json`` falls back to its pure-Python encoder when it indents, which
+    makes a chunk per token; this writer builds the same text with a few
+    ``str`` operations per container.  Non-finite floats raise ValueError
+    and unencodable values TypeError, as in ``json``; so do non-``str``
+    keys, which ``json`` would convert.
+    """
+    text = _JsonText().value(payload, 0)
+    text += "\n"  # rebinding frees the first copy before the encode copies
+    return text.encode()
+
+
+def _float_text(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+#: Leaf types of a rectangular nest, each with its encoding.  A ``bool`` is
+#: not an ``int`` here, so a nest of ``1``s and one of ``True``s never mix.
+_LEAF_TEXT = {
+    float: float.__repr__,
+    int: int.__repr__,
+    str: json.encoder.encode_basestring_ascii,
+    bool: ("false", "true").__getitem__,
+}
+_SEQUENCES = frozenset((list, tuple))
+
+
+def _rectangular(items: Sequence) -> Optional[tuple[tuple[int, ...], type, list]]:
+    """``(shape, leaf type, leaves in row-major order)`` when the nonempty
+    ``items`` nest lists and tuples to one depth, every level of one nonzero
+    length, and the leaves share one exact type of ``_LEAF_TEXT``; else None."""
+    shape = (len(items),)
+    leaves = items
+    kinds = set(map(type, leaves))
+    while kinds <= _SEQUENCES:
+        sizes = set(map(len, leaves))
+        size = sizes.pop()
+        if sizes or not size:
+            return None
+        shape += (size,)
+        leaves = list(itertools.chain.from_iterable(leaves))
+        kinds = set(map(type, leaves))
+    if len(kinds) == 1:
+        kind = kinds.pop()
+        if kind in _LEAF_TEXT:
+            return shape, kind, leaves
+    return None
+
+
+class _JsonText:
+    """The JSON text of one payload, as ``json.dumps(indent=2,
+    sort_keys=True, allow_nan=False)`` writes it.
+
+    A dict is one ``%`` template, built once per key tuple and depth.  A
+    rectangular nest is joined one level at a time, by one template per
+    level.  Repeated nests are encoded once: the memo key holds the exact
+    leaf type, so ``[1]``, ``[True]`` and ``[1.0]`` never share an entry;
+    float nests are not memoised, since ``0.0 == -0.0``.
+    """
+
+    def __init__(self) -> None:
+        self._templates: dict = {}
+        self._memo: dict = {}
+
+    def value(self, value: object, depth: int) -> str:
+        """The text of ``value`` at ``depth``, its types tested in json's order."""
+        if isinstance(value, str):
+            return json.encoder.encode_basestring_ascii(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if isinstance(value, float):
+            return _float_text(value)
+        if isinstance(value, (list, tuple)):
+            return self._list(value, depth)
+        if isinstance(value, dict):
+            return self._dict(value, depth)
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    def _dict(self, dct: dict, depth: int) -> str:
+        if not dct:
+            return "{}"
+        found = self._templates.get((tuple(dct), depth))
+        if found is None:
+            keys = sorted(dct)
+            for key in keys:
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+            inner = "\n" + "  " * (depth + 1)
+            fields = [
+                inner + json.encoder.encode_basestring_ascii(key).replace("%", "%%") + ": %s"
+                for key in keys
+            ]
+            template = "{" + ",".join(fields) + "\n" + "  " * depth + "}"
+            found = self._templates[tuple(dct), depth] = template, keys
+        template, keys = found
+        return template % tuple([self.value(dct[key], depth + 1) for key in keys])
+
+    def _list(self, items: Sequence, depth: int) -> str:
+        if not items:
+            return "[]"
+        nest = _rectangular(items)
+        if nest is None:
+            inner = "\n" + "  " * (depth + 1)
+            texts = [self.value(item, depth + 1) for item in items]
+            # brackets go on the end items, so the one large string is the join
+            texts[0] = "[" + inner + texts[0]
+            texts[-1] += "\n" + "  " * depth + "]"
+            return ("," + inner).join(texts)
+        shape, kind, leaves = nest
+        key = None if kind is float else (depth, shape, kind, tuple(leaves))
+        text = self._memo.get(key)
+        if text is not None:
+            return text
+        if kind is float and not all(map(math.isfinite, leaves)):
+            _float_text(next(v for v in leaves if not math.isfinite(v)))  # raises
+        texts = list(map(_LEAF_TEXT[kind], leaves))
+        for level in reversed(range(len(shape))):
+            inner = "\n" + "  " * (depth + level + 1)
+            template = "[" + inner + ("," + inner).join(["%s"] * shape[level])
+            template += "\n" + "  " * (depth + level) + "]"
+            texts = list(map(template.__mod__, zip(*[iter(texts)] * shape[level])))
+        if key is not None:
+            self._memo[key] = texts[0]
+        return texts[0]
 
 
 _JSON_NAMES = {bool: "true or false", int: "an integer", str: "a string", list: "a JSON list",
@@ -696,7 +834,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="compare Haar moments against shifted Gaussian majorants, as JSON",
     )
     p.add_argument("--k", type=int, required=True, choices=(2, 4), help="moment degree")
-    p.add_argument("--n", type=int, required=True, help="matrix dimension")
+    p.add_argument("--n", type=_positive_int, required=True, help="matrix dimension")
     p.add_argument(
         "--brackets", action="store_true", help="centered comparison over partitions"
     )
@@ -707,7 +845,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--pencil", required=True, help="pencil JSON file")
     p.add_argument("--m", type=int, required=True, help="moment order for the estimate")
-    p.add_argument("--k-max", type=int, default=10, help="largest growth-rate order")
+    p.add_argument("--k-max", type=_positive_int, default=10, help="largest growth-rate order")
     p.set_defaults(handler=_cmd_free_norm)
 
     p = sub.add_parser(
@@ -753,8 +891,7 @@ def _write_payload(payload: bytes, out: Optional[str]) -> str:
 def _write_manifest(manifest: dict, out: Optional[str]) -> None:
     """Write the run's one reproducibility record next to ``out``, else to stderr."""
     if out:
-        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        Path(str(out) + ".manifest.json").write_text(text)
+        Path(str(out) + ".manifest.json").write_bytes(_json_bytes(manifest))
     else:
         sys.stderr.write(json.dumps(manifest, sort_keys=True) + "\n")
 

@@ -10,7 +10,7 @@ norms.  The terminal linear pencils go to a tree-based norm oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -45,11 +45,15 @@ class GroupPolynomial:
     """Finitely supported map from reduced words to matrix coefficients.
 
     Coefficients share one (possibly rectangular) shape; the polynomial
-    reads ``sum_g a_g (x) lambda(g)``.
+    reads ``sum_g a_g (x) lambda(g)``.  ``support`` and ``degree`` are read
+    off the coefficients once, at construction, so a coefficient must not
+    be changed in place afterwards.
     """
 
     d: int
     coefficients: Mapping[ReducedWord, np.ndarray]
+    _support: tuple[ReducedWord, ...] = field(init=False, compare=False, repr=False)
+    _degree: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         normalized = {}
@@ -66,15 +70,19 @@ class GroupPolynomial:
                 raise ValueError("coefficients must share one shape")
             normalized[word] = matrix
         object.__setattr__(self, "coefficients", normalized)
-
-    @property
-    def support(self) -> tuple[ReducedWord, ...]:
-        return tuple(
+        support = tuple(
             sorted(
-                (w for w, a in self.coefficients.items() if np.any(a)),
+                (w for w, a in normalized.items() if np.any(a)),
                 key=lambda w: (len(w.letters), w.letters),
             )
         )
+        object.__setattr__(self, "_support", support)
+        object.__setattr__(self, "_degree", max((len(w.letters) for w in support), default=0))
+
+    @property
+    def support(self) -> tuple[ReducedWord, ...]:
+        """Words with a nonzero coefficient, shortest first, then by letters."""
+        return self._support
 
     @property
     def coeff_shape(self) -> tuple[int, int]:
@@ -84,8 +92,7 @@ class GroupPolynomial:
 
     @property
     def degree(self) -> int:
-        lengths = [len(w.letters) for w in self.support]
-        return max(lengths, default=0)
+        return self._degree
 
     @property
     def is_selfadjoint(self) -> bool:

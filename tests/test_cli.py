@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import haarmoments
 from haarmoments import cli, nonbacktracking, weingarten
@@ -315,8 +316,10 @@ class TestManifest:
         assert proc.returncode == 0
         assert proc.stdout == b""
         assert proc.stderr == b""
-        manifest = json.loads((tmp_path / "table.json.manifest.json").read_text())
+        text = (tmp_path / "table.json.manifest.json").read_text()
+        manifest = json.loads(text)
         assert manifest["output_digest"] == hashlib.sha256(out.read_bytes()).hexdigest()
+        assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
     def test_version_is_package_version(self):
         proc = run_cli("wg-table", "--k", "2", "--n", "5")
@@ -327,6 +330,109 @@ class TestManifest:
         manifest = json.loads(proc.stderr)
         replay = run_cli("wg-table", "--k", "2", "--n", "4", "--seed", str(manifest["seed"]))
         assert replay.stdout == proc.stdout
+
+
+def dumps_bytes(tree):
+    """The bytes ``cli._json_bytes`` must reproduce."""
+    return (json.dumps(tree, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+
+
+#: Characters that stress key templates and string escapes.
+_TRICKY_CHARS = list('%s%d%%"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600')
+#: Floats at the edges of ``repr``'s formats: signed zeros, subnormals, the
+#: switch to exponents at 1e16 and below 1e-4, and the largest finite value.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16,
+                9999999999999998.0, 1.0000000000000002e16, 1e-7, 1.0000000000000001e-07,
+                1e-4, 9.999999999999999e-05, 1.7976931348623157e308]
+#: Subtrees equal under ``==`` that encode differently, to catch a memo keyed
+#: on value alone.
+_LOOKALIKES = [[1, 0], [True, False], [1.0, 0.0], [1.0, -0.0], (1, 0), [[1, 0]],
+               [[True, False]], [[1.0, -0.0]], [[0.0, 0.0]], [[-0.0, 0.0]], ["1", "0"],
+               [None, None], [1, True], [[1], [True]], [[1.0], [1]]]
+
+_text = st.text(st.sampled_from(_TRICKY_CHARS) | st.characters(), max_size=6)
+_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
+_scalars = (
+    st.none() | st.booleans() | _floats | _text
+    | st.integers() | st.integers(min_value=2**64, max_value=2**200).map(lambda v: v * (-1) ** v)
+)
+
+
+@st.composite
+def _nests(draw):
+    """Rectangular nests of one leaf type, some then made ragged or mixed."""
+    shape = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    leaf = draw(st.sampled_from([_floats, st.integers(), st.booleans(), _text]))
+
+    def build(dims):
+        return [build(dims[1:]) for _ in range(dims[0])] if dims else draw(leaf)
+
+    nest = build(shape)
+    flaw = draw(st.sampled_from(["none", "ragged", "mixed", "tuple-rows"]))
+    if flaw == "tuple-rows":
+        return [tuple(row) if isinstance(row, list) else row for row in nest]
+    row = nest
+    while flaw != "none" and row and isinstance(row[0], list):
+        row = row[0]
+    if row and flaw == "ragged":
+        row.pop()
+    elif row and flaw == "mixed":
+        row[0] = draw(_scalars)
+    return nest
+
+
+_trees = st.recursive(
+    _scalars | _nests() | st.sampled_from(_LOOKALIKES),
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_text, children, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+class TestJsonWriter:
+    """``cli._json_bytes`` against ``json.dumps(indent=2, sort_keys=True)``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(tree=_trees)
+    def test_bytes_match_json_dumps(self, tree):
+        assert cli._json_bytes(tree) == dumps_bytes(tree)
+
+    @settings(max_examples=100, deadline=None)
+    @given(trees=st.lists(st.sampled_from(_LOOKALIKES), max_size=10), key=_text)
+    def test_equal_subtrees_of_different_types_stay_apart(self, trees, key):
+        tree = {key: trees, "again": [{"x": t} for t in trees]}
+        assert cli._json_bytes(tree) == dumps_bytes(tree)
+
+    def test_numpy_float_leaves_encode_as_floats(self):
+        tree = {
+            "spectrum": [[np.float64(1.5), np.float64(-0.0)], [np.float64(1e16), 2.0]],
+            "lone": np.float64(5e-324),
+        }
+        assert cli._json_bytes(tree) == dumps_bytes(tree)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+    @pytest.mark.parametrize(
+        "wrap",
+        [lambda v: v, lambda v: {"a": [1, v]}, lambda v: [[0.5, 1.5], [2.5, v]],
+         lambda v: [0.5, v]],
+        ids=["bare", "mixed-list", "float-nest", "float-row"],
+    )
+    def test_nonfinite_floats_raise_value_error(self, bad, wrap):
+        with pytest.raises(ValueError):
+            cli._json_bytes(wrap(bad))
+
+    @pytest.mark.parametrize("tree", [{1: "a"}, {"a": {None: 1}}, [{"b": 1}, {2.0: 1}]])
+    def test_non_str_keys_raise_type_error(self, tree):
+        with pytest.raises(TypeError):
+            cli._json_bytes(tree)
+
+    @pytest.mark.parametrize("leaf", [object(), np.int64(1), {1, 2}])
+    def test_unencodable_values_raise_type_error(self, leaf):
+        with pytest.raises(TypeError):
+            cli._json_bytes({"a": [leaf]})
 
 
 class TestCenteredCheck:
@@ -354,6 +460,21 @@ class TestGaussCompare:
         entry = payload["entries"][0]
         assert {"lhs", "rhs", "margin", "passes", "eps", "x", "y"} <= set(entry)
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    @pytest.mark.parametrize("brackets", [[], ["--brackets"]], ids=["warmup", "brackets"])
+    def test_nonpositive_dimension_exits_two(self, n, brackets, capsys):
+        assert cli.dispatch(["gauss-compare", "--k", "2", "--n", n, *brackets]) == 2
+        captured = capsys.readouterr()
+        assert "--n" in captured.err
+        assert captured.out == ""
+
+    def test_small_dimension_is_skipped_with_the_regime_reason(self):
+        proc = run_cli("gauss-compare", "--k", "2", "--n", "1", "--brackets")
+        assert proc.returncode == 0
+        payload = json.loads(proc.stdout)
+        assert payload["skipped"] == payload["cases"] > 0
+        assert all(entry["reason"] for entry in payload["entries"])
+
     def test_bracket_grid_passes(self):
         proc = run_cli("gauss-compare", "--k", "2", "--n", "16", "--brackets")
         assert proc.returncode == 0
@@ -377,6 +498,15 @@ class TestFreeNorm:
         assert payload["lower_estimate"] == pytest.approx(3.0662466535684256, abs=1e-12)
         for value in payload["rho_k"].values():
             assert value == pytest.approx(math.sqrt(3), abs=1e-9)
+
+    @pytest.mark.parametrize("k_max", ["0", "-1"])
+    def test_nonpositive_k_max_exits_two(self, tmp_path, k_max, capsys):
+        pencil = write_uniform_pencil(tmp_path / "pencil.json")
+        argv = ["free-norm", "--pencil", str(pencil), "--m", "4", "--k-max", k_max]
+        assert cli.dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert "--k-max" in captured.err
+        assert captured.out == ""
 
 
 class TestNbSpectrum:

@@ -123,6 +123,17 @@ class TestGroupPolynomial:
         assert poly.support == (word(2, 0), word(2, 1))
         assert poly.degree == 1
 
+    def test_support_cache_leaves_equality_hash_and_repr_alone(self):
+        poly = scalar_poly(2, {(0,): 1.0, (1,): 0.0, (0, 0): 2.0})
+        assert poly.support is poly.support
+        assert poly.support == (word(2, 0), word(2, 0, 0))
+        assert poly.degree == 2
+        assert poly == GroupPolynomial(2, dict(poly.coefficients))
+        assert poly != GroupPolynomial(2, {word(2, 0): poly.coefficients[word(2, 0)]})
+        assert repr(poly) == f"GroupPolynomial(d=2, coefficients={poly.coefficients!r})"
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(poly)
+
     def test_coefficient_defaults_to_zeros(self):
         poly = scalar_poly(1, {(0,): 1.0})
         assert np.array_equal(poly.coefficient(word(1)), np.zeros((1, 1)))
