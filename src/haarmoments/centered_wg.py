@@ -15,9 +15,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from typing import Callable, Iterable, Iterator
 
-from ._approx import root_lower
 from .symcore import (
     CapacityError,
     EpsilonMatching,
@@ -38,6 +38,8 @@ from .weingarten import (
 
 #: Largest number of brackets the inclusion-exclusion sum will expand (2^T terms).
 MAX_BRACKET_BLOCKS = 8
+#: Decimal digits of the rational lower bounds on ``k^(7/2)`` and ``k^(7/4)``.
+ROOT_DIGITS = 24
 
 
 @dataclass(frozen=True)
@@ -329,6 +331,13 @@ class CenteredEstimateReport:
     passes: bool
 
 
+def _root_lower(x: int, degree: int) -> Fraction:
+    """``x ** (1/degree)`` floored to ``ROOT_DIGITS`` decimals, for degree 2 or 4."""
+    scale = 10**ROOT_DIGITS
+    root = isqrt(x * scale**degree)
+    return Fraction(root if degree == 2 else isqrt(root), scale)
+
+
 def check_centered_estimate(
     pi: SetPartition, p: EpsilonMatching, q: EpsilonMatching, n: int
 ) -> CenteredEstimateReport:
@@ -347,8 +356,8 @@ def check_centered_estimate(
         )
     record = centered_wg_value(pi, p, q, n)
     distance = transposition_distance(matching_permutation(p, q))
-    k_7_2 = root_lower(Fraction(k**7), 2)
-    k_7_4 = root_lower(Fraction(k**7), 4)
+    k_7_2 = _root_lower(k**7, 2)
+    k_7_4 = _root_lower(k**7, 4)
     bound = (
         (1 + 3 * k_7_2 / n**2)
         * Fraction(4**distance, n ** (k // 2 + distance))

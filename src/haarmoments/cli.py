@@ -252,9 +252,11 @@ def _load_pencil(path: Path):
         "pencil file",
     )
     r = data["coeff_dim"]
-    a0 = data.get("a0")
-    a0 = np.zeros((r, r), dtype=complex) if a0 is None else _matrix_from_json(a0)
     a = tuple(_matrix_from_json(entry) for entry in data["a"])
+    a0 = data.get("a0")
+    # A zero-strided view: nothing sized by the unchecked coeff_dim is
+    # allocated before MatrixPencil has checked ``a`` against it.
+    a0 = np.broadcast_to(0j, (r, r)) if a0 is None else _matrix_from_json(a0)
     return MatrixPencil(d=data["d"], coeff_dim=r, a0=a0, a=a)
 
 
@@ -574,7 +576,10 @@ def _cmd_linearize(args: argparse.Namespace) -> tuple[bytes, int]:
     coeffs = {}
     for word, entry in zip(words, data):
         w = ReducedWord(d, tuple(word))
-        coeffs[w] = coeffs.get(w, 0) + _matrix_from_json(entry["matrix"])
+        matrix = _matrix_from_json(entry["matrix"])
+        if w in coeffs and coeffs[w].shape != matrix.shape:
+            raise ValueError("coefficients must share one shape")
+        coeffs[w] = coeffs.get(w, 0) + matrix
     poly = GroupPolynomial(d, coeffs)
     support = symmetric_ball(d, (poly.degree + 1) // 2)
     result = sqrt_pencil(poly, support)

@@ -121,9 +121,6 @@ class MatrixPencil:
         r = self.coeff_dim
         if r < 1:
             raise ValueError("coefficient dimension must be positive")
-        a0 = np.array(self.a0, dtype=complex)
-        if a0.shape != (r, r):
-            raise ValueError(f"a0 must be {r} x {r}, got {a0.shape}")
         if len(self.a) != 2 * self.d:
             raise ValueError(f"need {2 * self.d} generator coefficients")
         family = []
@@ -132,6 +129,9 @@ class MatrixPencil:
             if matrix.shape != (r, r):
                 raise ValueError(f"a[{i}] must be {r} x {r}, got {matrix.shape}")
             family.append(matrix)
+        a0 = np.array(self.a0, dtype=complex)
+        if a0.shape != (r, r):
+            raise ValueError(f"a0 must be {r} x {r}, got {a0.shape}")
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "a", tuple(family))
 

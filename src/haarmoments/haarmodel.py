@@ -348,11 +348,8 @@ def freeness_experiment(
         if key not in estimates:
             estimates[key] = astar_norm_estimate(cfg.pencil)
         jobs.extend((cfg, trial, estimates[key]) for trial in range(trials))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda job: _freeness_row(*job), jobs))
-    else:
-        rows = [_freeness_row(*job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        rows = list(pool.map(lambda job: _freeness_row(*job), jobs))
     rows.sort(key=lambda row: (row.n, row.trial))
     return FreenessTable(rows=tuple(rows))
 

@@ -217,8 +217,8 @@ def _product_table(
     letters = [w.letters for w in words]
     position: dict[tuple[int, ...], int] = {}
     index = np.empty((len(words), len(words)), dtype=np.intp)
-    for i, (g, word) in enumerate(zip(letters, words)):
-        g_inv = word_inverse(word).letters
+    for i, g in enumerate(letters):
+        g_inv = tuple(star(c, words[i].d) for c in reversed(g))
         row = []
         for h in letters:
             common = 0
@@ -283,8 +283,8 @@ def sqrt_pencil(
     )
 
 
-def adjoint_product(poly: GroupPolynomial) -> GroupPolynomial:
-    """Expand ``P* P`` over reduced word products.
+def adjoint_product(poly: GroupPolynomial) -> tuple[dict[tuple[int, ...], int], np.ndarray]:
+    """``P* P`` as ``{letters of g^-1 h: row}`` and a ``(products, c, c)`` stack.
 
     The blocks ``a_g^H a_h`` come from one Gram matrix of the side-by-side
     coefficients and are summed per product ``g^-1 h`` in ``(g, h)`` order.
@@ -292,36 +292,34 @@ def adjoint_product(poly: GroupPolynomial) -> GroupPolynomial:
     words = tuple(poly.coefficients)
     cols = poly.coeff_shape[1]
     if not words:
-        return GroupPolynomial(
-            poly.d, {ReducedWord.identity(poly.d): np.zeros((cols, cols), dtype=complex)}
-        )
+        return {}, np.zeros((0, cols, cols), dtype=complex)
     position, index = _product_table(words)
     stacked = np.hstack([poly.coefficients[w] for w in words])
     m = len(words)
     blocks = (stacked.conj().T @ stacked).reshape(m, cols, m, cols).transpose(0, 2, 1, 3)
     sums = np.zeros((len(position), cols, cols), dtype=complex)
     np.add.at(sums, index, blocks)
-    return GroupPolynomial(
-        poly.d, {ReducedWord(poly.d, p): total for p, total in zip(position, sums)}
-    )
+    return position, sums
 
 
-def sqrt_identity_residual(
-    result: SqrtPencilResult, poly: GroupPolynomial
-) -> float:
-    """Largest coefficient deviation of ``P* P`` from the shifted target."""
-    expansion = adjoint_product(result.pencil)
+def sqrt_identity_residual(result: SqrtPencilResult, poly: GroupPolynomial) -> float:
+    """Largest coefficient deviation of ``P* P`` from the shifted target.
+
+    A word of ``poly`` outside the product table deviates by its whole target.
+    """
+    position, deviation = adjoint_product(result.pencil)
     identity = ReducedWord.identity(poly.d)
-    words = set(expansion.support) | set(poly.support) | {identity}
-    residual = 0.0
-    for word in words:
-        target = poly.coefficient(word).astype(complex)
-        if word == identity:
-            target = target + result.effective_shift * np.eye(poly.coeff_shape[0])
-        gap = np.abs(expansion.coefficient(word) - target)
-        if gap.size:
-            residual = max(residual, float(gap.max()))
-    return residual
+    shift = result.effective_shift * np.eye(poly.coeff_shape[0])
+    targets = {**poly.coefficients, identity: poly.coefficient(identity) + shift}
+    outside = []
+    for word, target in targets.items():
+        row = position.get(word.letters)
+        if row is None:
+            outside.append(target)
+        else:
+            deviation[row] -= target
+    gaps = [np.abs(gap).max() for gap in (deviation, *outside) if gap.size]
+    return float(max(gaps, default=0.0))
 
 
 def as_matrix_pencil(poly: GroupPolynomial) -> MatrixPencil:

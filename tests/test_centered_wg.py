@@ -406,6 +406,15 @@ def test_check_centered_estimate_all_k4_instances():
                     )
 
 
+@pytest.mark.parametrize("degree", [2, 4])
+def test_root_lower_is_the_digit_floor(degree):
+    step = Fraction(1, 10**centered_wg.ROOT_DIGITS)
+    for k in range(1, 13):
+        r = centered_wg._root_lower(k**7, degree)
+        assert (r / step).denominator == 1
+        assert r**degree <= k**7 < (r + step) ** degree
+
+
 def test_check_centered_estimate_regime_guard():
     with pytest.raises(UnsupportedRegimeError):
         check_centered_estimate(PI_22, P_ID, P_ID, 8)

@@ -163,9 +163,12 @@ class TestMalformedInputFiles:
             ("nb-spectrum", "--weights", {"weights": 5}, ["--lambda-grid", "0.5:1.0:0.5"]),
             ("linearize", "--poly", [5], []),
             ("linearize", "--poly", [{"word": 3, "matrix": ENTRY}], []),
+            # At this size numpy refuses the zero a0 at once, so the row fails
+            # fast wherever the pencil is allocated before ``a`` is checked.
+            ("free-norm", "--pencil", {"d": 1, "coeff_dim": 10**6, "a": []}, ["--m", "4"]),
         ],
         ids=["pencil-a-int", "pencil-top-level-list", "weights-int", "poly-int-entry",
-             "poly-int-word"],
+             "poly-int-word", "pencil-huge-coeff-dim"],
     )
     def test_malformed_file_exits_two(self, tmp_path, command, flag, content, extra):
         path = tmp_path / "input.json"
@@ -203,10 +206,14 @@ class TestMalformedInputFiles:
              "matrix entries must be finite"),
             ("linearize", "--poly", [{"word": [], "matrix": INF}], [],
              "matrix entries must be finite"),
+            ("linearize", "--poly",
+             [{"word": [], "matrix": ENTRY}, {"word": [], "matrix": [[[1.0, 0.0]] * 2] * 2}],
+             [], "coefficients must share one shape"),
         ],
         ids=["pencil-no-a", "weights-no-weights", "poly-no-matrix", "poly-empty",
              "poly-negative-letter", "config-no-d", "pencil-nan", "pencil-infinity",
-             "weights-nan", "weights-infinity", "poly-nan", "poly-infinity"],
+             "weights-nan", "weights-infinity", "poly-nan", "poly-infinity",
+             "poly-duplicate-word-shapes"],
     )
     def test_error_names_the_fault(self, tmp_path, command, flag, content, extra, message):
         path = tmp_path / "input.json"

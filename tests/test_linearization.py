@@ -351,6 +351,11 @@ def pairwise_adjoint_product(poly):
     return products
 
 
+def table_view(d, position, stack):
+    """The product table of ``adjoint_product`` as a ``{word: block}`` dict."""
+    return {ReducedWord(d, letters): stack[row] for letters, row in position.items()}
+
+
 class TestAdjointProduct:
     @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 2), (2, 3)])
     def test_matches_pairwise_products(self, shape):
@@ -362,33 +367,87 @@ class TestAdjointProduct:
         }
         coeffs[chosen[0]] = np.zeros(shape)
         poly = GroupPolynomial(2, coeffs)
-        expansion = adjoint_product(poly)
+        position, stack = adjoint_product(poly)
+        assert sorted(position.values()) == list(range(len(stack)))
+        expansion = table_view(2, position, stack)
         reference = pairwise_adjoint_product(poly)
-        assert set(expansion.coefficients) == set(reference)
+        assert set(expansion) == set(reference)
         scale = max(float(np.abs(m).max()) for m in reference.values())
         for w, m in reference.items():
-            assert expansion.coefficients[w].shape == (shape[1], shape[1])
-            assert np.abs(expansion.coefficients[w] - m).max() <= 1e-12 * scale
+            assert expansion[w].shape == (shape[1], shape[1])
+            assert np.abs(expansion[w] - m).max() <= 1e-12 * scale
 
     def test_empty_polynomial(self):
-        expansion = adjoint_product(GroupPolynomial(2, {}))
-        assert list(expansion.coefficients) == [word(2)]
-        assert expansion.coefficients[word(2)].shape == (0, 0)
+        position, stack = adjoint_product(GroupPolynomial(2, {}))
+        assert position == {}
+        assert stack.shape == (0, 0, 0)
 
     def test_single_word_gives_identity(self):
         poly = GroupPolynomial(1, {word(1, 0): np.array([[2.0]])})
-        product = adjoint_product(poly)
-        assert product.support == (word(1),)
-        assert product.coefficient(word(1))[0, 0] == pytest.approx(4.0)
+        position, stack = adjoint_product(poly)
+        assert position == {(): 0}
+        assert stack[0, 0, 0] == pytest.approx(4.0)
 
     def test_matches_evaluated_product(self):
         rng = model_rng(23)
         u = [sample_haar_unitary(4, rng) for _ in range(2)]
         poly = random_selfadjoint_poly(2, [word(2, 0), word(2, 1, 0)], 2, np.random.default_rng(3))
-        product = adjoint_product(poly)
+        product = GroupPolynomial(2, table_view(2, *adjoint_product(poly)))
         lhs = evaluate_with_unitaries(product, u)
         mat = evaluate_with_unitaries(poly, u)
         assert np.allclose(lhs, mat.conj().T @ mat, atol=1e-10)
+
+
+def reference_residual(result, poly):
+    """The residual word by word, over a dict view of the product table."""
+    expansion = GroupPolynomial(poly.d, table_view(poly.d, *adjoint_product(result.pencil)))
+    identity = ReducedWord.identity(poly.d)
+    words = set(expansion.support) | set(poly.support) | {identity}
+    residual = 0.0
+    for w in words:
+        target = poly.coefficient(w).astype(complex)
+        if w == identity:
+            target = target + result.effective_shift * np.eye(poly.coeff_shape[0])
+        gap = np.abs(expansion.coefficient(w) - target)
+        if gap.size:
+            residual = max(residual, float(gap.max()))
+    return residual
+
+
+@st.composite
+def _residual_cases(draw):
+    """A square-root pencil and a target that zeroes, drops and adds words.
+
+    A dropped word leaves its product row unnamed by the target, and the
+    added word lies outside the table: every product of the radius-R
+    ball has length at most 2R.
+    """
+    d = draw(st.integers(1, 2))
+    radius = draw(st.integers(0, 2))
+    size = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ball = enumerate_ball(d, 2 * radius)
+    picked = draw(st.lists(st.sampled_from(ball), min_size=1, max_size=4, unique=True))
+    poly = random_selfadjoint_poly(d, picked, size, rng)
+    result = sqrt_pencil(poly, symmetric_ball(d, radius))
+    coeffs = dict(poly.coefficients)
+    for dropped in draw(st.lists(st.sampled_from(ball), max_size=2)):
+        coeffs.pop(dropped, None)
+    if draw(st.booleans()):
+        coeffs.pop(word(d), None)
+    coeffs[draw(st.sampled_from(ball))] = np.zeros((size, size))
+    if draw(st.booleans()):
+        coeffs[word(d, *[0] * (2 * radius + 1))] = rng.standard_normal((size, size)) + 0j
+    return result, GroupPolynomial(d, coeffs)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=_residual_cases())
+def test_residual_matches_word_loop_bit_for_bit(case):
+    result, poly = case
+    residual = sqrt_identity_residual(result, poly)
+    assert type(residual) is float
+    assert residual == reference_residual(result, poly)
 
 
 class TestAsMatrixPencil:
