@@ -254,9 +254,9 @@ def _load_pencil(path: Path):
     r = data["coeff_dim"]
     a = tuple(_matrix_from_json(entry) for entry in data["a"])
     a0 = data.get("a0")
-    # A zero-strided view: nothing sized by the unchecked coeff_dim is
-    # allocated before MatrixPencil has checked ``a`` against it.
-    a0 = np.broadcast_to(0j, (r, r)) if a0 is None else _matrix_from_json(a0)
+    # A zero-strided view, empty below r = 1: nothing sized by the unchecked
+    # coeff_dim is allocated before MatrixPencil has checked it and ``a``.
+    a0 = np.broadcast_to(0j, (max(r, 0),) * 2) if a0 is None else _matrix_from_json(a0)
     return MatrixPencil(d=data["d"], coeff_dim=r, a0=a0, a=a)
 
 

@@ -23,14 +23,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .symcore import CapacityError
+from .symcore import CapacityError, require_dense
 
 #: Cap on enumerable non-backtracking products in ``rho_k``.
 MAX_RHO_PRODUCTS = 10**9
 #: Cap on the moment length (twice the Weyl power) in ``astar_norm_lower``.
 MAX_MOMENT_LENGTH = 4096
-#: Cap on the dimension of a materialized (dense) ball compression.
-MAX_BALL_DIM = 20_000
 #: Entry-stability tolerance for adaptive resolvent truncation.
 RESOLVENT_TOL = 1e-8
 #: Truncation radius of the first resolvent sweep; each later sweep doubles it.
@@ -87,13 +85,16 @@ class ReducedWord:
 def enumerate_ball(d: int, radius: int) -> tuple[ReducedWord, ...]:
     """All reduced words of length at most ``radius``.
 
-    Ordered by length, then lexicographically by letters.
+    Ordered by length, then lexicographically by letters.  Every caller indexes
+    a square array by the ball, so no level is listed past the dense budget.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     words = [ReducedWord.identity(d)]
     current: list[tuple[int, ...]] = [()]
-    for _ in range(radius):
+    for level in range(1, radius + 1):
+        size = len(words) + 2 * d * (2 * d - 1) ** (level - 1)
+        require_dense(size**2, f"a square array over a ball of {size} words")
         grown = [
             (color,) + letters
             for color in range(2 * d)
@@ -232,6 +233,7 @@ def _scaled_return_table(pencil: MatrixPencil, length: int) -> np.ndarray:
     """
     r = pencil.coeff_dim
     colors = 2 * pencil.d
+    require_dense((colors + 1) * (length + 1) * r * r, "the return-moment table")
     scale = pencil.coefficient_scale
     sub = np.zeros((colors + 1, length + 1, r, r), dtype=complex)
     sub[:, 0] = np.eye(r)
@@ -319,17 +321,10 @@ class TreeBallOperator:
 
 
 def build_tree_ball(pencil: MatrixPencil, radius: int) -> TreeBallOperator:
-    """Materialize the dense ball compression, capped at ``MAX_BALL_DIM``."""
+    """Materialize the dense ball compression, within the dense budget."""
     r = pencil.coeff_dim
-    words, shell = 1, 2 * pencil.d
-    for _ in range(radius):
-        words += shell
-        shell *= 2 * pencil.d - 1
-        if r * words > MAX_BALL_DIM:
-            raise CapacityError(
-                f"the radius-{radius} ball exceeds the dimension cap {MAX_BALL_DIM}"
-            )
     basis = enumerate_ball(pencil.d, radius)
+    require_dense((r * len(basis)) ** 2, f"the radius-{radius} ball compression")
     index = {word.letters: pos for pos, word in enumerate(basis)}
     matrix = np.zeros((r * len(basis),) * 2, dtype=complex)
     for col, word in enumerate(basis):

@@ -32,15 +32,12 @@ from .symcore import (
     CapacityError,
     EpsilonSequence,
     epsilon_matchings,
+    require_dense,
 )
 from .weingarten import UnsupportedRegimeError
 
-#: Dense projectors are materialized up to this tensor dimension.
-MAX_TENSOR_DENSE_DIM = 4096
 #: Hard cap on the total model dimension.
 MAX_MODEL_DIM = 1_000_000
-#: Cap on the realized non-backtracking dimension in ``nb_norm_check``.
-MAX_NB_DENSE_DIM = 4096
 #: Relative tolerance of the Lanczos solve for the top eigenvalue of ``M* M``.
 NORM_TOL = 1e-10
 #: Ball radius of ``astar_norm_estimate``: the level-by-level shift test makes
@@ -49,6 +46,8 @@ NORM_TOL = 1e-10
 ASTAR_BALL_RADIUS = 200
 #: Word-length order of the tree growth rate ``rho_k`` in ``nb_norm_check``.
 NB_RHO_ORDER = 10
+#: Margin over the growth rate in ``nb_norm_check``'s exceedance bound.
+NB_EPSILON = 0.25
 
 _NORM_SEED_SALT = 0x5EED_0F_0E
 
@@ -119,10 +118,7 @@ def build_projector(n: int, q_minus: int, q_plus: int) -> np.ndarray:
     q = q_minus + q_plus
     if q < 1:
         raise ValueError("need at least one tensor leg")
-    if n**q > MAX_TENSOR_DENSE_DIM:
-        raise CapacityError(
-            f"dense projector capped at dimension {MAX_TENSOR_DENSE_DIM}"
-        )
+    require_dense(n ** (2 * q), "the dense projector")
     indicators, weights = _projector_factors(n, q_minus, q_plus)
     return indicators.T @ weights @ indicators
 
@@ -152,6 +148,7 @@ class ModelConfig:
             raise CapacityError(
                 f"model dimension {self.total_dimension} exceeds {MAX_MODEL_DIM}"
             )
+        require_dense(self.n**2, "each Haar unitary")
 
     @property
     def q(self) -> int:
@@ -385,11 +382,7 @@ def bracket_nb_operator(inst: TensorModelInstance) -> NBOperator:
     The tensor images ``V_i`` and the projector are formed densely here.
     """
     cfg = inst.config
-    if 2 * cfg.d * cfg.total_dimension > MAX_NB_DENSE_DIM:
-        raise CapacityError(
-            f"non-backtracking dimension {2 * cfg.d * cfg.total_dimension} "
-            f"exceeds {MAX_NB_DENSE_DIM}"
-        )
+    require_dense((2 * cfg.d * cfg.total_dimension) ** 2, "the bracket non-backtracking operator")
     images = [
         reduce(np.kron, [u.conj()] * cfg.q_minus + [u] * cfg.q_plus)
         for u in inst.unitaries
@@ -403,20 +396,14 @@ def bracket_nb_operator(inst: TensorModelInstance) -> NBOperator:
     return build_nb(weights, side="right")
 
 
-def nb_norm_check(
-    cfg: ModelConfig,
-    ell_values: Sequence[int],
-    trials: int,
-    epsilon: float = 0.25,
-) -> NBNormTable:
+def nb_norm_check(cfg: ModelConfig, ell_values: Sequence[int], trials: int) -> NBNormTable:
     """Power norms of the bracket non-backtracking operator per trial.
 
     Values are compared against the tree growth rate ``rho_k`` of order
-    ``NB_RHO_ORDER`` plus ``epsilon``;
-    the table reports the empirical exceedance frequency.
+    ``NB_RHO_ORDER`` plus ``NB_EPSILON``; the table reports the exceedance frequency.
 
     Only the spectral radius ``lim_l ||B^l||^(1/l)`` is bounded by the
-    growth rate plus ``epsilon`` as ``n`` grows. At a fixed ``l`` the
+    growth rate plus ``NB_EPSILON`` as ``n`` grows. At a fixed ``l`` the
     power norm converges to that of the free limit, whose own
     ``||B_*^l||^(1/l)`` exceeds the growth rate by a polynomial
     prefactor (for the uniform d = 2 pencil it is at least 2.008 at
@@ -441,4 +428,4 @@ def nb_norm_check(
                     power_norm=power_norm(op, ell),
                 )
             )
-    return NBNormTable(rows=tuple(rows), rho_star=rho_star, epsilon=epsilon)
+    return NBNormTable(rows=tuple(rows), rho_star=rho_star, epsilon=NB_EPSILON)

@@ -16,6 +16,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .freegroup import MatrixPencil, ReducedWord, astar_norm_lower, enumerate_ball, star
+from .symcore import require_dense
 
 #: Weyl power handed to the default linear-pencil norm oracle.
 DEFAULT_ORACLE_POWER = 256
@@ -148,6 +149,7 @@ def evaluate_with_unitaries(
         raise ValueError("need one unitary per generator")
     n = unitaries[0].shape[0]
     rows, cols = poly.coeff_shape
+    require_dense(rows * n * cols * n, "the evaluated polynomial")
     result = np.zeros((rows * n, cols * n), dtype=complex)
     for word, coeff in poly.coefficients.items():
         image = np.eye(n, dtype=complex)
@@ -247,9 +249,10 @@ def sqrt_pencil(
         raise ValueError("square-root pencil needs at least one coefficient")
     if not poly.is_selfadjoint:
         raise ValueError("square-root pencil needs a self-adjoint polynomial")
+    r = poly.coeff_shape[0]
+    require_dense((len(support) * r) ** 2, "the divided coefficient matrix")
     position, index = _product_table(support.words)
     d = support.words[0].d if support.words else None
-    r = poly.coeff_shape[0]
     stack = np.zeros((len(position), r, r), dtype=complex)
     for word in poly.support:
         if word.d != d or word.letters not in position:

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .freegroup import MatrixPencil, branch_mask, hat_weights, star
-from .symcore import CapacityError
+from .symcore import CapacityError, require_dense
 
 #: Dense eigensolve cap for the spectral mapping verification.
 MAX_MAPPING_DIM = 3000
@@ -100,6 +100,7 @@ def build_nb(weights: Sequence, side: str = "right") -> NBOperator:
     family = _coerce_weights(weights)
     ell = len(family)
     dim = family[0].shape[0]
+    require_dense((ell * dim) ** 2, "the non-backtracking operator")
     stacked = np.stack(family)
     blocks = stacked.transpose(1, 0, 2)[None] if side == "right" else stacked[:, :, None]
     matrix = np.zeros((ell, dim, ell, dim), dtype=complex)
@@ -247,6 +248,7 @@ def build_b_mu(
     colors = 2 * pencil.d
     if len(reps) != colors:
         raise ValueError(f"need {colors} representation images, got {len(reps)}")
+    require_dense((colors * pencil.coeff_dim * len(reps[0])) ** 2, "the shifted operator")
     hat = hat_weights(pencil, mu)
     weights = [
         np.kron(np.asarray(hat[j], dtype=complex), np.asarray(reps[j], dtype=complex))

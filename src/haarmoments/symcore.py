@@ -5,7 +5,7 @@ indexed by the value types defined here: permutations of ``{1, ..., k}`` in
 one-line notation, pair partitions in canonical pair order, set partitions,
 and sign sequences over dots and bars.  All types are immutable and
 hashable, so they can be used as dictionary keys and shared freely between
-threads.
+threads.  ``require_dense`` holds every dense array to one budget, ``MAX_DENSE_ENTRIES``.
 """
 
 from __future__ import annotations
@@ -26,10 +26,18 @@ MAX_PAIR_ENUMERATION = 12
 MAX_SYMMETRIC_DEGREE = 8
 #: Largest k for which enumerate_set_partitions will run (Bell-number growth).
 MAX_SET_PARTITION_ENUMERATION = 10
+#: Most entries any dense array may have: a complex 4096 x 4096 matrix, 268 MB.
+MAX_DENSE_ENTRIES = 4096**2
 
 
 class CapacityError(ValueError):
-    """Raised when an enumeration would exceed the configured size caps."""
+    """Raised when an enumeration or a dense array would exceed the size caps."""
+
+
+def require_dense(entries: int, what: str) -> None:
+    """Refuse, before it is built, a dense array of more than ``MAX_DENSE_ENTRIES``."""
+    if entries > MAX_DENSE_ENTRIES:
+        raise CapacityError(f"{what} needs {entries} entries, over the budget {MAX_DENSE_ENTRIES}")
 
 
 @dataclass(frozen=True, order=True)

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import haarmoments
-from haarmoments import cli, nonbacktracking, weingarten
-from haarmoments.symcore import CapacityError
+from haarmoments import cli, haarmodel, linearization, nonbacktracking, weingarten
+from haarmoments.symcore import MAX_DENSE_ENTRIES, CapacityError
 
 
 def run_cli(*argv, env_extra=None, cwd=None):
@@ -209,11 +209,13 @@ class TestMalformedInputFiles:
             ("linearize", "--poly",
              [{"word": [], "matrix": ENTRY}, {"word": [], "matrix": [[[1.0, 0.0]] * 2] * 2}],
              [], "coefficients must share one shape"),
+            ("free-norm", "--pencil", {"d": 2, "coeff_dim": -3, "a": [ENTRY] * 4},
+             ["--m", "4"], "coefficient dimension must be positive"),
         ],
         ids=["pencil-no-a", "weights-no-weights", "poly-no-matrix", "poly-empty",
              "poly-negative-letter", "config-no-d", "pencil-nan", "pencil-infinity",
              "weights-nan", "weights-infinity", "poly-nan", "poly-infinity",
-             "poly-duplicate-word-shapes"],
+             "poly-duplicate-word-shapes", "pencil-negative-coeff-dim"],
     )
     def test_error_names_the_fault(self, tmp_path, command, flag, content, extra, message):
         path = tmp_path / "input.json"
@@ -235,6 +237,48 @@ class TestMalformedInputFiles:
         assert proc.returncode == 2
         assert b"error: matrix entries must be finite" in proc.stderr
         assert b"Traceback" not in proc.stderr
+
+
+class TestDenseBudget:
+    """Inputs whose dense arrays exceed the budget exit 2 before the build,
+    which each row replaces with a stub that fails if called."""
+
+    EYE = [[[float(i == j), 0.0] for j in range(64)] for i in range(64)]
+
+    @pytest.mark.parametrize(
+        "command, flag, files, extra, step",
+        [
+            # A radius-20 ball over two generators, refused at 4373 words.
+            ("linearize", "--poly", {"poly.json": [{"word": [0] * 40, "matrix": [[[1.0, 0.0]]]},
+                                                   {"word": [2] * 40, "matrix": [[[1.0, 0.0]]]}]},
+             [], (linearization, "sqrt_pencil")),
+            # Letter 10^6 means d = 500,001: the radius-1 ball has 1,000,003 words.
+            ("linearize", "--poly", {"poly.json": [{"word": [10**6], "matrix": [[[1.0, 0.0]]]}]},
+             [], (linearization, "sqrt_pencil")),
+            # r = 64 and length 4096: 5 * 4097 * 64^2 return-moment entries.
+            ("free-norm", "--pencil", {"pencil.json": {"d": 2, "coeff_dim": 64, "a": [EYE] * 4}},
+             ["--m", "2048"], (np, "zeros")),
+            # n = 20,000 passes MAX_MODEL_DIM; its Haar unitary does not fit.
+            ("freeness", "--config",
+             {"pencil.json": {"d": 2, "coeff_dim": 1, "a": [[[[1.0, 0.0]]]] * 4},
+              "config.json": {"n": [20_000], "d": 2, "q_minus": 0, "q_plus": 1,
+                              "pencil": "pencil.json"}},
+             ["--trials", "1"], (haarmodel, "freeness_experiment")),
+        ],
+        ids=["linearize-degree-40", "linearize-letter-1e6", "free-norm-r64", "freeness-n20000"],
+    )
+    def test_refused_before_the_dense_build(
+        self, tmp_path, stub_step, capsys, command, flag, files, extra, step
+    ):
+        for name, content in files.items():
+            (tmp_path / name).write_text(json.dumps(content))
+        stub_step(*step)
+        code = cli.dispatch([command, flag, str(tmp_path / list(files)[-1]), *extra])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"over the budget {MAX_DENSE_ENTRIES}" in err.splitlines()[0]
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestWgTable:

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from haarmoments import freegroup
 from haarmoments.freegroup import (
-    MAX_BALL_DIM,
     MAX_RESOLVENT_RADIUS,
     RESOLVENT_START_RADIUS,
     RESOLVENT_TOL,
@@ -29,7 +28,7 @@ from haarmoments.freegroup import (
     root_return_moments,
     star,
 )
-from haarmoments.symcore import CapacityError
+from haarmoments.symcore import MAX_DENSE_ENTRIES, CapacityError
 
 
 def uniform_pencil(d, weight=1.0, a0=0.0):
@@ -239,6 +238,15 @@ class TestEnumerateBall:
         ball = enumerate_ball(2, 4)
         assert len({w.letters for w in ball}) == len(ball)
 
+    def test_refused_before_a_level_is_listed(self, stub_step):
+        # Listing level 2 calls star, level 1 does not.  At d = 32 the
+        # radius-1 ball has 65 words and the radius-2 ball 4097, one more
+        # than the 4096 whose square fills the dense budget.
+        stub_step(freegroup, "star")
+        assert len(enumerate_ball(32, 1)) == 65
+        with pytest.raises(CapacityError, match="a ball of 4097 words"):
+            enumerate_ball(32, 2)
+
 
 class TestMatrixPencil:
     def test_selfadjoint_detection(self):
@@ -355,6 +363,19 @@ class TestRootReturnMoments:
                 root_return_moments(uniform_pencil(2), 512)
             assert np.all(np.isfinite(root_return_moments(uniform_pencil(2), 511)))
 
+    def test_table_refused_beyond_the_dense_budget(self, stub_step):
+        quarter = np.eye(64) / 4
+        pencil = MatrixPencil(d=2, coeff_dim=64, a0=0 * quarter, a=(quarter,) * 4)
+        built = stub_step(np, "zeros")
+        # (2d + 1)(length + 1) r^2 entries: 5 * 819 * 64^2 fit, 5 * 820 * 64^2 do not.
+        assert 5 * 819 * 64**2 <= MAX_DENSE_ENTRIES < 5 * 820 * 64**2
+        with pytest.raises(built):
+            root_return_moments(pencil, 818)
+        with pytest.raises(CapacityError, match="return-moment table"):
+            root_return_moments(pencil, 819)
+        with pytest.raises(CapacityError, match="return-moment table"):
+            astar_norm_lower(pencil, 2048)
+
     @pytest.mark.parametrize("d,r", list(itertools.product((1, 2, 3), (1, 2, 3))))
     def test_matches_per_type_recursion_at_length_200(self, d, r):
         pencil = random_selfadjoint_pencil(np.random.default_rng(31 * d + r), d=d, r=r)
@@ -419,26 +440,21 @@ class TestTreeBallOperator:
         expected = 2 * math.cos(math.pi / 12)
         assert ball.norm() == pytest.approx(expected, abs=1e-10)
 
-    def test_dimension_cap_refuses_before_building(self, monkeypatch):
-        class Enumerated(Exception):
-            pass
-
-        def enumerated(d, radius):
-            raise Enumerated
-
-        monkeypatch.setattr(freegroup, "enumerate_ball", enumerated)
-        # 39,365 words at d = 2, radius 9: refused before any word is listed.
-        with pytest.raises(CapacityError):
-            build_tree_ball(uniform_pencil(2), 9)
-        # r = 4 on the line: 4 (2R + 1) words' worth is 19,996 at R = 2499,
-        # inside the cap, and 20,004 at R = 2500, beyond it.
+    def test_dimension_cap_refuses_before_building(self, stub_step):
         zero = np.zeros((4, 4))
         pencil = MatrixPencil(d=1, coeff_dim=4, a0=zero, a=(zero, zero))
-        assert 4 * (2 * 2499 + 1) <= MAX_BALL_DIM < 4 * (2 * 2500 + 1)
-        with pytest.raises(Enumerated):
-            build_tree_ball(pencil, 2499)
+        free = uniform_pencil(2)
+        built = stub_step(np, "zeros")
+        # 39,365 words at d = 2, radius 9: the ball is refused while listed.
         with pytest.raises(CapacityError):
-            build_tree_ball(pencil, 2500)
+            build_tree_ball(free, 9)
+        # r = 4 on the line: the dimension 4 (2R + 1) is 4092 at R = 511,
+        # inside the dense budget of 4096^2 entries, and 4100 at R = 512.
+        assert (4 * (2 * 511 + 1)) ** 2 <= MAX_DENSE_ENTRIES < (4 * (2 * 512 + 1)) ** 2
+        with pytest.raises(built):
+            build_tree_ball(pencil, 511)
+        with pytest.raises(CapacityError):
+            build_tree_ball(pencil, 512)
 
 
 class TestBallSpectrumBounds:

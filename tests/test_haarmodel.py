@@ -1,5 +1,6 @@
 """Haar sampling, tensor model assembly, restricted norms, experiments."""
 
+import math
 from dataclasses import replace
 from functools import reduce
 
@@ -7,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from haarmoments import haarmodel
 from haarmoments.freegroup import MatrixPencil, astar_norm_lower
 from haarmoments.haarmodel import (
-    MAX_NB_DENSE_DIM,
     ModelConfig,
+    TensorModelInstance,
     astar_norm_estimate,
     bracket_nb_operator,
     build_instance,
@@ -21,7 +23,7 @@ from haarmoments.haarmodel import (
     restricted_norm,
     sample_haar_unitary,
 )
-from haarmoments.symcore import CapacityError
+from haarmoments.symcore import MAX_DENSE_ENTRIES, CapacityError
 from haarmoments.weingarten import UnsupportedRegimeError, haar_moment, haar_moment_signed
 from haarmoments.symcore import BAR, DOT, EpsilonSequence
 
@@ -188,6 +190,15 @@ class TestBuildProjector:
         with pytest.raises(CapacityError):
             build_projector(70, 1, 1)
 
+    @pytest.mark.parametrize("n, q_minus, q_plus", [(64, 1, 1), (16, 1, 2), (4096, 0, 1)])
+    def test_dense_budget_boundary(self, stub_step, n, q_minus, q_plus):
+        built = stub_step(haarmodel, "_projector_factors")
+        # n^q = 4096 fills the budget of 4096^2 entries; n + 1 does not fit.
+        with pytest.raises(built):
+            build_projector(n, q_minus, q_plus)
+        with pytest.raises(CapacityError, match="dense projector"):
+            build_projector(n + 1, q_minus, q_plus)
+
     def test_regime_guard(self):
         with pytest.raises(UnsupportedRegimeError):
             build_projector(1, 2, 2)
@@ -211,6 +222,12 @@ class TestModelConfig:
     def test_rejects_oversized_model(self):
         with pytest.raises(CapacityError):
             config(2000, q_minus=1, q_plus=1)
+
+    def test_haar_unitary_within_dense_budget(self):
+        assert config(4096).n == 4096
+        # 4097 passes MAX_MODEL_DIM; its unitary of 4097^2 entries does not fit.
+        with pytest.raises(CapacityError, match="each Haar unitary"):
+            config(4097)
 
 
 class TestBuildInstance:
@@ -446,7 +463,7 @@ class TestNBNormCheck:
         assert table.rho_star == pytest.approx(np.sqrt(3), abs=1e-9)
 
     def test_exceedance_accounting(self):
-        table = nb_norm_check(config(20, seed=6), (6, 12), trials=3, epsilon=0.25)
+        table = nb_norm_check(config(20, seed=6), (6, 12), trials=3)
         recomputed = {}
         for row in table.rows:
             recomputed.setdefault(row.ell, []).append(row.power_norm)
@@ -455,9 +472,23 @@ class TestNBNormCheck:
             expected = sum(v > bound for v in values) / len(values)
             assert table.exceedance_by_ell()[ell] == expected
 
-    def test_capacity_guard(self):
+    def test_capacity_guard(self, stub_step):
+        # d = 2 and q = 1: the operator has dimension 4n, one past 4096 here.
+        n = math.isqrt(MAX_DENSE_ENTRIES) // 4 + 1
+        stub_step(haarmodel, "reduce")
         with pytest.raises(CapacityError):
-            nb_norm_check(config(MAX_NB_DENSE_DIM // 4 + 1, seed=1), (4,), trials=1)
+            nb_norm_check(config(n, seed=1), (4,), trials=1)
+
+    def test_bracket_operator_dense_budget_boundary(self, stub_step):
+        built = stub_step(haarmodel, "reduce")
+
+        def instance(n):
+            return TensorModelInstance(config(n), (np.eye(1),) * 2, None, None)
+
+        with pytest.raises(built):
+            bracket_nb_operator(instance(1024))
+        with pytest.raises(CapacityError, match="bracket non-backtracking operator"):
+            bracket_nb_operator(instance(1025))
 
     def test_trial_seeds_recorded(self):
         table = nb_norm_check(config(12, seed=9), (4,), trials=3)

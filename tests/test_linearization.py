@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from haarmoments import linearization
 from haarmoments.freegroup import MatrixPencil, ReducedWord, ball_spectrum_bounds, enumerate_ball
 from haarmoments.haarmodel import model_rng, sample_haar_unitary
+from haarmoments.symcore import CapacityError
 from haarmoments.linearization import (
     GroupPolynomial,
     SymmetricSupport,
@@ -186,6 +188,13 @@ class TestEvaluateWithUnitaries:
         with pytest.raises(ValueError, match="unitary per generator"):
             evaluate_with_unitaries(poly, [np.eye(2)])
 
+    def test_dense_budget_boundary(self, stub_step):
+        poly = scalar_poly(1, {(0,): 1.0})
+        built = stub_step(np, "zeros")
+        for n, reached in ((4096, built), (4097, CapacityError)):
+            with pytest.raises(reached):
+                evaluate_with_unitaries(poly, [np.broadcast_to(0j, (n, n))])
+
 
 class TestSelfadjointEmbed:
     def test_result_is_selfadjoint(self):
@@ -229,6 +238,22 @@ class TestNormFromShifts:
 
 
 class TestSqrtPencil:
+    def test_dense_budget_boundary(self, stub_step):
+        poly = GroupPolynomial(2, {word(2): np.eye(2)})
+        built = stub_step(linearization, "_product_table")
+        # Degree 12 at r = 2: the radius-6 ball's 1457 words give 2914^2
+        # entries, within budget; the radius-7 ball is refused as it is listed.
+        with pytest.raises(built):
+            sqrt_pencil(poly, symmetric_ball(2, 6))
+        with pytest.raises(CapacityError, match="a ball of 4373 words"):
+            symmetric_ball(2, 7)
+        # On the line at r = 2, 2047 words fill 4094 rows and 2049 words 4098.
+        line = GroupPolynomial(1, {word(1): np.eye(2)})
+        with pytest.raises(built):
+            sqrt_pencil(line, symmetric_ball(1, 1023))
+        with pytest.raises(CapacityError, match="divided coefficient matrix"):
+            sqrt_pencil(line, symmetric_ball(1, 1024))
+
     def test_trivial_polynomial_on_identity_support(self):
         poly = scalar_poly(1, {(): 0.0})
         result = sqrt_pencil(poly, SymmetricSupport((word(1),)))

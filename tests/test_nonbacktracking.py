@@ -15,7 +15,7 @@ from haarmoments.nonbacktracking import (
     spectral_radius,
     verify_spectral_mapping,
 )
-from haarmoments.symcore import CapacityError
+from haarmoments.symcore import MAX_DENSE_ENTRIES, CapacityError
 
 
 def haar_unitary(rng, n):
@@ -53,6 +53,15 @@ class TestBuildNb:
         assert isinstance(op, NBOperator)
         assert op.dimension == 8
         assert np.count_nonzero(op.matrix) == 0
+
+    def test_dense_budget_boundary(self, stub_step):
+        built = stub_step(np, "zeros")
+        # l scalar weights give an l x l operator: 4096 fill the budget.
+        assert 4096**2 == MAX_DENSE_ENTRIES
+        with pytest.raises(built):
+            build_nb([np.ones((1, 1))] * 4096)
+        with pytest.raises(CapacityError, match="non-backtracking operator"):
+            build_nb([np.ones((1, 1))] * 4098)
 
     def test_two_color_pattern(self):
         op = build_nb([1.0, 1.0])
@@ -265,6 +274,14 @@ class TestVerifySpectralMapping:
 
 
 class TestBuildBMu:
+    def test_dense_budget_boundary(self, stub_step):
+        pencil = MatrixPencil.from_scalars(1, 0.0, [1.0, 1.0])
+        built = stub_step(nonbacktracking, "hat_weights")
+        # Two colors of r x n blocks, r = 1: n = 2048 fills the budget.
+        for n, reached in ((2048, built), (2049, CapacityError)):
+            with pytest.raises(reached):
+                build_b_mu(pencil, 3.0, [np.broadcast_to(0j, (n, n))] * 2)
+
     def test_zero_pencil(self):
         pencil = MatrixPencil.from_scalars(1, 0.0, [0.0, 0.0])
         reps = [np.eye(2), np.eye(2)]

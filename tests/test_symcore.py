@@ -2,11 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from haarmoments import symcore
 from haarmoments.symcore import (
     BAR,
     DOT,
+    MAX_DENSE_ENTRIES,
     CapacityError,
     EpsilonMatching,
     EpsilonSequence,
@@ -21,6 +23,7 @@ from haarmoments.symcore import (
     epsilon_matchings,
     join,
     permutation_from_cycle_type,
+    require_dense,
     transposition_distance,
 )
 
@@ -112,6 +115,17 @@ def test_set_partition_cap():
 def test_symmetric_group_cap():
     with pytest.raises(CapacityError):
         all_permutations(9)
+
+
+@given(st.one_of(st.integers(0, 2 * MAX_DENSE_ENTRIES),
+                st.integers(MAX_DENSE_ENTRIES - 2, MAX_DENSE_ENTRIES + 2)))
+def test_require_dense_admits_exactly_the_budget(entries):
+    assert MAX_DENSE_ENTRIES == 4096**2
+    if entries <= 4096**2:
+        require_dense(entries, "an array")
+    else:
+        with pytest.raises(CapacityError, match=f"an array needs {entries} entries"):
+            require_dense(entries, "an array")
 
 
 def test_pair_partition_canonical_order():
