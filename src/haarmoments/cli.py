@@ -7,17 +7,18 @@ JSON line on stderr.  Structured math goes out as JSON with rationals
 encoded as ``"numerator/denominator"`` strings; experiment tables go
 out as CSV.  Given the same subcommand and seed, payload bytes are
 identical across runs on one machine, except for measured wall-time
-columns, which are genuinely nondeterministic.
+columns, which are genuinely nondeterministic.  Usage, input, regime,
+capacity and file errors exit 2, and an eigensolve that does not converge
+exits 1, each with one ``error:`` line.
 
 Module level imports only the standard library: each handler imports the
 layers it runs, and numpy only if it needs it, so ``--help`` and the exact
 subcommands never load numpy.  Every JSON input file is checked by one
 declarative helper, ``_require``, which names the file and the key at fault.
-Every JSON payload, cache file and manifest file is written by one helper,
-``_json_bytes``, byte for byte as ``json.dumps(indent=2, sort_keys=True,
-allow_nan=False)`` would write it, but from ``%`` templates per object
-shape, one join per level of a rectangular list nest and a memo of
-repeated nests, instead of json's pure-Python indenting encoder.
+Every JSON payload, cache file and manifest file is encoded by ``_json_bytes``
+byte for byte as ``json.dumps(indent=2, sort_keys=True, allow_nan=False)``
+would encode it.  Every file, ``--out``, its manifest and a cache table, is
+written by ``_write_file`` to a new temporary name beside it and renamed over it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import math
 import os
 import secrets
 import sys
-import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -325,8 +325,8 @@ def _cached_wg_values(k: int, n: int, orthogonal: bool) -> dict[str, str]:
     The cache file name is the content address (k, n, orthogonal); a hit
     skips building the table, unitary by characters and orthogonal by the
     Gram solve.  A file that does not hold exactly the requested table
-    counts as a miss and is replaced; the replacement is written to a
-    temporary file first, so no reader sees a partial table.
+    counts as a miss and is replaced through ``_write_file``, so no reader
+    sees a partial table.
     """
     cache_dir = os.environ.get(CACHE_ENV_VAR)
     path = None
@@ -343,14 +343,7 @@ def _cached_wg_values(k: int, n: int, orthogonal: bool) -> dict[str, str]:
     if path is not None:
         data = _json_bytes({"k": k, "n": n, "orthogonal": orthogonal, "values": values})
         path.parent.mkdir(parents=True, exist_ok=True)
-        handle, temp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-        try:
-            with os.fdopen(handle, "wb") as out:
-                out.write(data)
-            os.replace(temp, path)
-        finally:
-            if os.path.exists(temp):
-                os.unlink(temp)
+        _write_file(path, data)
     return values
 
 
@@ -568,14 +561,10 @@ def _cmd_linearize(args: argparse.Namespace) -> tuple[bytes, int]:
         [{"word": [int], "matrix": list}],
         "polynomial file",
     )
-    words = [entry["word"] for entry in data]
-    inferred = max([1] + [letter // 2 + 1 for word in words for letter in word])
-    d = args.d if args.d is not None else inferred
-    if d < inferred:
-        raise ValueError(f"--d {d} too small for the letters present (need {inferred})")
+    d = args.d
     coeffs = {}
-    for word, entry in zip(words, data):
-        w = ReducedWord(d, tuple(word))
+    for entry in data:
+        w = ReducedWord(d, tuple(entry["word"]))
         matrix = _matrix_from_json(entry["matrix"])
         if w in coeffs and coeffs[w].shape != matrix.shape:
             raise ValueError("coefficients must share one shape")
@@ -873,7 +862,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "linearize", help="square-root pencil of a self-adjoint polynomial, as JSON"
     )
     p.add_argument("--poly", required=True, help="polynomial JSON file")
-    p.add_argument("--d", type=int, help="generator count (default: inferred)")
+    p.add_argument("--d", type=int, required=True, help="generator count")
     p.set_defaults(handler=_cmd_linearize)
 
     p = sub.add_parser("selftest", help="run the fast subset of the acceptance checks")
@@ -884,28 +873,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_payload(payload: bytes, out: Optional[str]) -> str:
-    if out:
-        Path(out).write_bytes(payload)
-    else:
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
-    return hashlib.sha256(payload).hexdigest()
-
-
-def _write_manifest(manifest: dict, out: Optional[str]) -> None:
-    """Write the run's one reproducibility record next to ``out``, else to stderr."""
-    if out:
-        Path(str(out) + ".manifest.json").write_bytes(_json_bytes(manifest))
-    else:
-        sys.stderr.write(json.dumps(manifest, sort_keys=True) + "\n")
+def _write_file(path: Path, data: bytes) -> None:
+    """Write ``data`` to a new temporary file beside ``path``, in the umask's
+    mode, and rename it over ``path``: no reader sees a partial file."""
+    temp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    with open(temp, "xb") as out:
+        try:
+            out.write(data)
+            out.close()
+            os.replace(temp, path)
+        except BaseException:
+            os.unlink(temp)
+            raise
 
 
 def dispatch(argv: Sequence[str]) -> int:
     """Parse, run, and report one subcommand; returns the process exit code.
 
     Input, regime and capacity errors are ``ValueError``s and file errors
-    ``OSError``s; both exit 2 with the usage line.
+    ``OSError``s; both exit 2 with the usage line.  An eigensolve that does
+    not converge exits 1 with its error line.
     """
     parser = _build_parser()
     try:
@@ -914,27 +901,41 @@ def dispatch(argv: Sequence[str]) -> int:
         return int(exc.code or 0)
     started = time.perf_counter()
     try:
-        if args.out and not Path(args.out).parent.is_dir():
-            raise ValueError(f"--out directory {Path(args.out).parent} does not exist")
+        targets = [Path(args.out), Path(args.out + ".manifest.json")] if args.out else []
+        if targets and not targets[0].parent.is_dir():
+            raise ValueError(f"--out directory {targets[0].parent} does not exist")
+        for target in targets:  # so that neither rename lands on a directory or device
+            if target.exists() and not target.is_file():
+                raise ValueError(f"{target} exists and is not a regular file")
         payload, code = args.handler(args)
-        digest = _write_payload(payload, args.out)
+        if targets:
+            _write_file(targets[0], payload)
+        else:
+            sys.stdout.buffer.write(payload)
+            sys.stdout.buffer.flush()
         manifest = {
             "command": args.command,
-            "parameters": {
-                key: value
-                for key, value in vars(args).items()
-                if key not in ("handler", "command", "seed")
-            },
+            "parameters": {key: value for key, value in vars(args).items()
+                           if key not in ("handler", "command", "seed")},
             "seed": _seed(args),
             "version": __version__,
             "wall_time_s": time.perf_counter() - started,
-            "output_digest": digest,
+            "output_digest": hashlib.sha256(payload).hexdigest(),
         }
-        _write_manifest(manifest, args.out)
+        if targets:
+            _write_file(targets[1], _json_bytes(manifest))
+        else:
+            sys.stderr.write(json.dumps(manifest, sort_keys=True) + "\n")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        from .haarmodel import PowerIterationError
+        if not isinstance(exc, PowerIterationError):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILURE
     return code
 
 

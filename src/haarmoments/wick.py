@@ -29,8 +29,8 @@ from .weingarten import haar_moment_signed
 
 #: Largest number of unbarred factors for the permanent sum (m! growth).
 MAX_WICK_FACTORS = 8
-#: Default universal constant in the multiplicity-based moment bound.
-DEFAULT_WG2_CONSTANT = 8.0
+#: Universal constant c in the multiplicity-based moment bound of ``check_cor_wg2``.
+WG2_CONSTANT = 8.0
 #: Relative slack absorbing double-precision rounding in float comparisons.
 COMPARISON_SLACK = 1e-9
 
@@ -362,9 +362,7 @@ def check_with_brackets(spec: BracketMomentSpec, n: int) -> ComparisonReport:
     return _report("with-brackets", k, n, lhs_exact, rhs, stats.even, vanishing_ok)
 
 
-def check_cor_wg2(
-    spec: BracketMomentSpec, n: int, constant: float = DEFAULT_WG2_CONSTANT
-) -> ComparisonReport:
+def check_cor_wg2(spec: BracketMomentSpec, n: int) -> ComparisonReport:
     """Check the multiplicity-based moment bound on a centered moment.
 
     Verifies ``|centered moment| <= c n^(-k/2) eta^(b + e1/q) k^(m4/2)``
@@ -382,9 +380,9 @@ def check_cor_wg2(
     moment = centered_moment(spec, n)
     lhs_exact = abs(moment)
     stats = path_statistics(spec.x, spec.y, spec.pi)
-    eta = constant * k ** (q / 2) * n**-0.125
+    eta = WG2_CONSTANT * k ** (q / 2) * n**-0.125
     rhs = (
-        constant
+        WG2_CONSTANT
         * float(n) ** (-k / 2)
         * eta ** (stats.b + stats.e1 / q)
         * k ** (stats.m4 / 2)

@@ -68,7 +68,7 @@ from haarmoments.weingarten import (
     wg_exact,
     wg_series,
 )
-from haarmoments.wick import check_cor_wg2, check_warmup, check_with_brackets
+from haarmoments.wick import WG2_CONSTANT, check_cor_wg2, check_warmup, check_with_brackets
 
 FREE_NORM = 2 * math.sqrt(3)
 
@@ -283,6 +283,7 @@ def test_07_single_constant_bounds_all_equal_block_shapes():
     every equal-block shape with k = qT <= 6 and q in {1, 2}, each at the
     smallest dimension inside the k^(4(q+1)) <= n regime.  The largest
     shape keeps the full partition and sign grids but pins y = x."""
+    assert WG2_CONSTANT == 8.0
     grid = [
         (1, 2, "full"),
         (1, 4, "full"),
@@ -301,7 +302,7 @@ def test_07_single_constant_bounds_all_equal_block_shapes():
                     ys = [x] if mode == "diagonal" else indices
                     for y in ys:
                         spec = BracketMomentSpec(pi=pi, eps=eps, x=x, y=y)
-                        report = check_cor_wg2(spec, n, constant=8.0)
+                        report = check_cor_wg2(spec, n)
                         assert not report.skipped
                         assert report.passes
 

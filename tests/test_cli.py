@@ -110,6 +110,53 @@ class TestOutputErrors:
         assert "error:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("blocked", ["out-directory", "out-fifo", "manifest-directory"])
+    def test_non_regular_target_refused_before_the_kernel(
+        self, tmp_path, stub_step, capsys, blocked
+    ):
+        out = tmp_path / "table.json"
+        manifest = tmp_path / "table.json.manifest.json"
+        if blocked == "out-fifo":
+            os.mkfifo(out)
+        else:
+            (out if blocked == "out-directory" else manifest).mkdir()
+        before = sorted(tmp_path.iterdir())
+        stub_step(weingarten, "wg_exact")
+        code = cli.dispatch(["wg-table", "--k", "2", "--n", "3", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "is not a regular file" in err.splitlines()[0]
+        assert "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_failed_rename_keeps_the_old_payload(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "table.json"
+        out.write_bytes(b"old payload")
+
+        def refuse(*args):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        code = cli.dispatch(["wg-table", "--k", "2", "--n", "3", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: rename refused")
+        assert out.read_bytes() == b"old payload"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["table.json"]
+
+    def test_payload_and_cache_file_take_the_umask_mode(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("HAARMOMENTS_CACHE", str(cache))
+        out = tmp_path / "table.json"
+        previous = os.umask(0o022)
+        try:
+            code = cli.dispatch(["wg-table", "--k", "3", "--n", "5", "--out", str(out)])
+        finally:
+            os.umask(previous)
+        assert code == 0
+        for path in (out, tmp_path / "table.json.manifest.json", cache / "wg-unit-k3-n5.json"):
+            assert path.stat().st_mode & 0o777 == 0o644
+
 
 class TestStartup:
     def test_help_loads_no_scipy(self):
@@ -161,8 +208,8 @@ class TestMalformedInputFiles:
             ("free-norm", "--pencil", {"d": 2, "coeff_dim": 1, "a": 5}, ["--m", "4"]),
             ("free-norm", "--pencil", [ENTRY] * 4, ["--m", "4"]),
             ("nb-spectrum", "--weights", {"weights": 5}, ["--lambda-grid", "0.5:1.0:0.5"]),
-            ("linearize", "--poly", [5], []),
-            ("linearize", "--poly", [{"word": 3, "matrix": ENTRY}], []),
+            ("linearize", "--poly", [5], ["--d", "1"]),
+            ("linearize", "--poly", [{"word": 3, "matrix": ENTRY}], ["--d", "1"]),
             # At this size numpy refuses the zero a0 at once, so the row fails
             # fast wherever the pencil is allocated before ``a`` is checked.
             ("free-norm", "--pencil", {"d": 1, "coeff_dim": 10**6, "a": []}, ["--m", "4"]),
@@ -185,11 +232,11 @@ class TestMalformedInputFiles:
              'pencil file is missing "a"'),
             ("nb-spectrum", "--weights", {"family": [ENTRY] * 4},
              ["--lambda-grid", "0.5:1.0:0.5"], 'weights file is missing "weights"'),
-            ("linearize", "--poly", [{"word": [0]}], [],
+            ("linearize", "--poly", [{"word": [0]}], ["--d", "1"],
              'polynomial file item is missing "matrix"'),
-            ("linearize", "--poly", [], [],
+            ("linearize", "--poly", [], ["--d", "1"],
              "square-root pencil needs at least one coefficient"),
-            ("linearize", "--poly", [{"word": [-1], "matrix": ENTRY}], [],
+            ("linearize", "--poly", [{"word": [-1], "matrix": ENTRY}], ["--d", "1"],
              "letter -1 outside 0..1"),
             ("freeness", "--config",
              {"n": [6], "q_minus": 0, "q_plus": 1, "pencil": "pencil.json"},
@@ -202,13 +249,13 @@ class TestMalformedInputFiles:
              ["--lambda-grid", "0.5:1.0:0.5"], "matrix entries must be finite"),
             ("nb-spectrum", "--weights", [ENTRY, INF],
              ["--lambda-grid", "0.5:1.0:0.5"], "matrix entries must be finite"),
-            ("linearize", "--poly", [{"word": [0], "matrix": NAN}], [],
+            ("linearize", "--poly", [{"word": [0], "matrix": NAN}], ["--d", "1"],
              "matrix entries must be finite"),
-            ("linearize", "--poly", [{"word": [], "matrix": INF}], [],
+            ("linearize", "--poly", [{"word": [], "matrix": INF}], ["--d", "1"],
              "matrix entries must be finite"),
             ("linearize", "--poly",
              [{"word": [], "matrix": ENTRY}, {"word": [], "matrix": [[[1.0, 0.0]] * 2] * 2}],
-             [], "coefficients must share one shape"),
+             ["--d", "1"], "coefficients must share one shape"),
             ("free-norm", "--pencil", {"d": 2, "coeff_dim": -3, "a": [ENTRY] * 4},
              ["--m", "4"], "coefficient dimension must be positive"),
         ],
@@ -251,10 +298,10 @@ class TestDenseBudget:
             # A radius-20 ball over two generators, refused at 4373 words.
             ("linearize", "--poly", {"poly.json": [{"word": [0] * 40, "matrix": [[[1.0, 0.0]]]},
                                                    {"word": [2] * 40, "matrix": [[[1.0, 0.0]]]}]},
-             [], (linearization, "sqrt_pencil")),
+             ["--d", "2"], (linearization, "sqrt_pencil")),
             # Letter 10^6 means d = 500,001: the radius-1 ball has 1,000,003 words.
             ("linearize", "--poly", {"poly.json": [{"word": [10**6], "matrix": [[[1.0, 0.0]]]}]},
-             [], (linearization, "sqrt_pencil")),
+             ["--d", "500001"], (linearization, "sqrt_pencil")),
             # r = 64 and length 4096: 5 * 4097 * 64^2 return-moment entries.
             ("free-norm", "--pencil", {"pencil.json": {"d": 2, "coeff_dim": 64, "a": [EYE] * 4}},
              ["--m", "2048"], (np, "zeros")),
@@ -331,6 +378,20 @@ class TestWgTable:
         assert second.stdout == first.stdout
         assert cached.stat().st_mtime_ns == stamp
         assert sorted(path.name for path in cache.iterdir()) == ["wg-unit-k3-n6.json"]
+
+    def test_cold_and_cached_runs_leave_no_temporary_file(self, tmp_path):
+        cache = tmp_path / "cache"
+        env = {"HAARMOMENTS_CACHE": str(cache)}
+        for name in ("cold.json", "cached.json"):
+            proc = run_cli("wg-table", "--k", "4", "--n", "6", "--orthogonal",
+                           "--out", str(tmp_path / name), env_extra=env)
+            assert proc.returncode == 0
+        assert (tmp_path / "cold.json").read_bytes() == (tmp_path / "cached.json").read_bytes()
+        assert sorted(path.name for path in cache.iterdir()) == ["wg-orth-k4-n6.json"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "cache", "cached.json", "cached.json.manifest.json", "cold.json",
+            "cold.json.manifest.json",
+        ]
 
     @pytest.mark.parametrize("corrupt", ["garbage", "truncated"])
     def test_bad_cache_file_is_a_miss(self, tmp_path, corrupt):
@@ -712,6 +773,23 @@ class TestFreeness:
         assert numeric_rows(serial) == numeric_rows(again)
         assert numeric_rows(serial) == numeric_rows(pooled)
 
+    def test_unconverged_eigensolve_exits_one_with_an_error_line(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def no_convergence(*args, **kwargs):
+            raise haarmodel.PowerIterationError("restricted norm did not converge: stub")
+
+        monkeypatch.setattr(haarmodel, "restricted_norm", no_convergence)
+        config = self.write_config(tmp_path)
+        out = tmp_path / "rows.csv"
+        before = sorted(tmp_path.iterdir())
+        code = cli.dispatch(["freeness", "--config", str(config), "--trials", "1",
+                             "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: restricted norm did not converge: stub\n"
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_flag_seed_overrides_config_seed(self, tmp_path):
         config = self.write_config(tmp_path, seed=5)
         proc = run_cli(
@@ -734,7 +812,7 @@ class TestLinearize:
                 ]
             )
         )
-        proc = run_cli("linearize", "--poly", str(poly))
+        proc = run_cli("linearize", "--poly", str(poly), "--d", "1")
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["d"] == 1
@@ -760,7 +838,7 @@ class TestLinearize:
         poly = tmp_path / "poly.json"
         poly.write_text(json.dumps(entries))
         out = tmp_path / "pencil.json"
-        assert cli.dispatch(["linearize", "--poly", str(poly), "--out", str(out)]) == 0
+        assert cli.dispatch(["linearize", "--poly", str(poly), "--d", "2", "--out", str(out)]) == 0
         payload = json.loads(out.read_bytes())
         root = sqrt_pencil(GroupPolynomial(2, coeffs), symmetric_ball(2, 1)).pencil
         expected = [
@@ -769,10 +847,26 @@ class TestLinearize:
         ]
         assert cli._json_bytes(payload["pencil"]) == cli._json_bytes(expected)
 
+    def test_letters_read_under_the_given_generator_count(self, tmp_path):
+        # Under d = 3, letter 3 is the inverse of letter 0; under d = 2 it
+        # would be the inverse of letter 1.
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps(
+            [{"word": word, "matrix": [[[1.0, 0.0]]]} for word in ([], [0], [3])]
+        ))
+        proc = run_cli("linearize", "--poly", str(poly), "--d", "3")
+        assert proc.returncode == 0
+        payload = json.loads(proc.stdout)
+        assert payload["d"] == 3
+        assert payload["residual"] <= 1e-8
+        inferred = run_cli("linearize", "--poly", str(poly))
+        assert inferred.returncode == 2
+        assert b"the following arguments are required: --d" in inferred.stderr
+
     def test_non_selfadjoint_input_exits_two(self, tmp_path):
         poly = tmp_path / "poly.json"
         poly.write_text(json.dumps([{"word": [0], "matrix": [[[1.0, 0.0]]]}]))
-        proc = run_cli("linearize", "--poly", str(poly))
+        proc = run_cli("linearize", "--poly", str(poly), "--d", "1")
         assert proc.returncode == 2
         assert b"self-adjoint" in proc.stderr
 
