@@ -24,8 +24,8 @@ from .symcore import (
     EpsilonSequence,
     Permutation,
     SetPartition,
-    delta_pairs,
-    epsilon_matchings,
+    delta_matchings,
+    loop_type,
     transposition_distance,
 )
 from .weingarten import (
@@ -87,27 +87,21 @@ def matching_permutation(p: EpsilonMatching, q: EpsilonMatching) -> Permutation:
     """The bijection ``q^-1 p`` on dot positions, relabeled in increasing order."""
     if p.epsilon != q.epsilon:
         raise ValueError("matchings must share the same sign sequence")
-    return _restricted_permutation(p, q, frozenset(range(1, p.epsilon.k + 1)))
+    dots = p.epsilon.dots()
+    index = {d: i for i, d in enumerate(dots, start=1)}
+    return Permutation(tuple(index[q.dot_of(p.bar_of(d))] for d in dots))
 
 
 def matching_weingarten(p: EpsilonMatching, q: EpsilonMatching, n: int) -> Fraction:
     """Plain Weingarten value Wg(p, q, n) of a pair of matchings."""
-    sigma = matching_permutation(p, q)
-    return wg_exact(sigma.k, n).value(sigma)
+    if p.epsilon != q.epsilon:
+        raise ValueError("matchings must share the same sign sequence")
+    return wg_exact(p.epsilon.k // 2, n).values[loop_type(p.pairing.pairs + q.pairing.pairs)]
 
 
 def _leaves_invariant(pieces: Iterable[Iterable[int]], block: frozenset) -> bool:
     """True when every piece is inside ``block`` or disjoint from it."""
     return all(block.issuperset(piece) or block.isdisjoint(piece) for piece in pieces)
-
-
-def _restricted_permutation(
-    p: EpsilonMatching, q: EpsilonMatching, block: frozenset
-) -> Permutation:
-    """``q^-1 p`` on the dots of ``block``, relabeled in increasing order."""
-    dots = [d for d in p.epsilon.dots() if d in block]
-    index = {d: i for i, d in enumerate(dots, start=1)}
-    return Permutation(tuple(index[q.dot_of(p.bar_of(d))] for d in dots))
 
 
 def _validate_bracket_inputs(
@@ -172,9 +166,9 @@ def wg_bracket(
     """The generalized Weingarten function Wg[pi](p, q, n).
 
     Inclusion-exclusion over subsets of blocks, whose sub-moment on a union
-    ``S`` of blocks is the plain Weingarten value of ``q^-1 p`` restricted
-    to ``S`` when both matchings leave ``S`` invariant, and 0 otherwise.
-    Memoised on its (hashable) arguments.
+    ``S`` of blocks is the plain Weingarten value of the pairs of ``p`` and
+    ``q`` inside ``S`` when both matchings leave ``S`` invariant, and 0
+    otherwise.  Memoised on its (hashable) arguments.
     """
     _validate_bracket_inputs(pi, p, q)
     k = pi.k
@@ -188,8 +182,8 @@ def wg_bracket(
         block = frozenset(positions)
         if not _leaves_invariant(pairs, block):
             return Fraction(0)
-        sigma = _restricted_permutation(p, q, block)
-        return wg_exact(sigma.k, n).value(sigma)
+        inside = [pair for pair in pairs if pair[0] in block]
+        return wg_exact(len(positions) // 2, n).values[loop_type(inside)]
 
     return _inclusion_exclusion(pi.blocks, sub_moment)
 
@@ -249,9 +243,8 @@ def centered_moment(spec: BracketMomentSpec, n: int) -> Fraction:
         raise UnsupportedRegimeError(
             f"matching sum needs k/2 <= n; got k={spec.k}, n={n}"
         )
-    matchings = epsilon_matchings(spec.eps)
-    p_survivors = [p for p in matchings if delta_pairs(p.pairing, spec.x)]
-    q_survivors = [q for q in matchings if delta_pairs(q.pairing, spec.y)]
+    p_survivors = delta_matchings(spec.eps, spec.x)
+    q_survivors = delta_matchings(spec.eps, spec.y)
     total = Fraction(0)
     for p in p_survivors:
         for q in q_survivors:

@@ -18,7 +18,8 @@ declarative helper, ``_require``, which names the file and the key at fault.
 Every JSON payload, cache file and manifest file is encoded by ``_json_bytes``
 byte for byte as ``json.dumps(indent=2, sort_keys=True, allow_nan=False)``
 would encode it.  Every file, ``--out``, its manifest and a cache table, is
-written by ``_write_file`` to a new temporary name beside it and renamed over it.
+written by ``_write_files`` to a new temporary name beside it and renamed over
+it, ``--out`` and its manifest both before either rename.
 """
 
 from __future__ import annotations
@@ -325,7 +326,7 @@ def _cached_wg_values(k: int, n: int, orthogonal: bool) -> dict[str, str]:
     The cache file name is the content address (k, n, orthogonal); a hit
     skips building the table, unitary by characters and orthogonal by the
     Gram solve.  A file that does not hold exactly the requested table
-    counts as a miss and is replaced through ``_write_file``, so no reader
+    counts as a miss and is replaced through ``_write_files``, so no reader
     sees a partial table.
     """
     cache_dir = os.environ.get(CACHE_ENV_VAR)
@@ -343,7 +344,7 @@ def _cached_wg_values(k: int, n: int, orthogonal: bool) -> dict[str, str]:
     if path is not None:
         data = _json_bytes({"k": k, "n": n, "orthogonal": orthogonal, "values": values})
         path.parent.mkdir(parents=True, exist_ok=True)
-        _write_file(path, data)
+        _write_files([(path, data)])
     return values
 
 
@@ -456,7 +457,8 @@ def _cmd_free_norm(args: argparse.Namespace) -> tuple[bytes, int]:
     from .freegroup import astar_norm_lower, rho_k
     pencil = _load_pencil(Path(args.pencil))
     estimate = astar_norm_lower(pencil, args.m, seed=_seed(args))
-    rho_table = {str(k): rho_k(pencil, k) for k in range(1, args.k_max + 1)}
+    # Highest order first, so that an order over the cap is refused at once.
+    rho_table = {str(k): rho_k(pencil, k) for k in range(args.k_max, 0, -1)}
     payload = {
         "d": pencil.d,
         "coeff_dim": pencil.coeff_dim,
@@ -873,18 +875,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_file(path: Path, data: bytes) -> None:
-    """Write ``data`` to a new temporary file beside ``path``, in the umask's
-    mode, and rename it over ``path``: no reader sees a partial file."""
-    temp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
-    with open(temp, "xb") as out:
-        try:
-            out.write(data)
-            out.close()
-            os.replace(temp, path)
-        except BaseException:
+def _write_files(files: Sequence[tuple[Path, bytes]]) -> None:
+    """Write each ``(path, data)`` to a new temporary file beside ``path``, in
+    the umask's mode, then rename each over its path: no reader sees a
+    partial file, and no path is replaced unless every file was written."""
+    pending: list[tuple[Path, Path]] = []
+    try:
+        for path, data in files:
+            temp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+            with open(temp, "xb") as out:
+                pending.append((temp, path))
+                out.write(data)
+        while pending:
+            os.replace(*pending[0])
+            pending.pop(0)
+    except BaseException:
+        for temp, _ in pending:
             os.unlink(temp)
-            raise
+        raise
 
 
 def dispatch(argv: Sequence[str]) -> int:
@@ -908,11 +916,6 @@ def dispatch(argv: Sequence[str]) -> int:
             if target.exists() and not target.is_file():
                 raise ValueError(f"{target} exists and is not a regular file")
         payload, code = args.handler(args)
-        if targets:
-            _write_file(targets[0], payload)
-        else:
-            sys.stdout.buffer.write(payload)
-            sys.stdout.buffer.flush()
         manifest = {
             "command": args.command,
             "parameters": {key: value for key, value in vars(args).items()
@@ -923,8 +926,10 @@ def dispatch(argv: Sequence[str]) -> int:
             "output_digest": hashlib.sha256(payload).hexdigest(),
         }
         if targets:
-            _write_file(targets[1], _json_bytes(manifest))
+            _write_files(list(zip(targets, (payload, _json_bytes(manifest)))))
         else:
+            sys.stdout.buffer.write(payload)
+            sys.stdout.buffer.flush()
             sys.stderr.write(json.dumps(manifest, sort_keys=True) + "\n")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

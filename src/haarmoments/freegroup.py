@@ -18,6 +18,7 @@ accepts a shift only under it (on the negated pencil below the spectrum).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -25,8 +26,11 @@ import numpy as np
 
 from .symcore import CapacityError, require_dense
 
-#: Cap on enumerable non-backtracking products in ``rho_k``.
-MAX_RHO_PRODUCTS = 10**9
+#: Largest order of ``rho_k``: order k is k steps of 12-450 us (d <= 4, r <= 16),
+#: so ``free-norm``'s orders 1..256 take 0.4-15 s.
+MAX_RHO_ORDER = 256
+#: ``rho_k`` rescales its stack by a power of two once it leaves [2^-512, 2^512].
+RHO_SAFE_EXPONENT = 512
 #: Cap on the moment length (twice the Weyl power) in ``astar_norm_lower``.
 MAX_MOMENT_LENGTH = 4096
 #: Entry-stability tolerance for adaptive resolvent truncation.
@@ -197,22 +201,27 @@ def rho_k(pencil: MatrixPencil, k: int) -> float:
     starting at ``i`` and ``M_w`` multiplies the pencil coefficients along
     ``w``.  Each step sums, on one ``(start, end, r, r)`` stack, the ends
     every next color may follow and conjugates them in one batched product.
+    A stack whose largest entry leaves the safe range is scaled by an exact
+    power of two, whose exponent re-enters in the root; a stack that stays
+    in range is never scaled.
     """
     if k < 1:
         raise ValueError("k must be positive")
+    if k > MAX_RHO_ORDER:
+        raise CapacityError(f"rho_k of order {k} exceeds the cap {MAX_RHO_ORDER}")
     d = pencil.d
     colors = 2 * d
-    if (2 * d - 1) ** (k - 1) * colors > MAX_RHO_PRODUCTS:
-        raise CapacityError(
-            f"{(2 * d - 1) ** (k - 1) * colors} non-backtracking products "
-            f"exceed the cap {MAX_RHO_PRODUCTS}"
-        )
     follows = branch_mask(d)[:colors]
     a = np.stack(pencil.a)
     a_adj = a.conj().swapaxes(-1, -2)
     by_end = np.zeros((colors, colors) + a.shape[1:], dtype=complex)
     by_end[np.arange(colors), np.arange(colors)] = a_adj @ a
+    exponent = 0
     for _ in range(k - 1):
+        shift = math.frexp(float(np.abs(by_end).max()))[1]
+        if abs(shift) > RHO_SAFE_EXPONENT:
+            by_end *= 2.0**-shift
+            exponent += shift
         inner = np.zeros_like(by_end)
         for c in range(colors):
             inner[:, follows[c]] += by_end[:, c, None]
@@ -220,7 +229,7 @@ def rho_k(pencil: MatrixPencil, k: int) -> float:
     gram = by_end.sum(axis=1)
     gram = (gram + gram.conj().swapaxes(-1, -2)) / 2
     best = float(np.linalg.eigvalsh(gram)[:, -1].max())
-    return ((2 * d - 1) * max(best, 0.0)) ** (1 / (2 * k))
+    return ((2 * d - 1) * max(best, 0.0)) ** (1 / (2 * k)) * 2.0 ** (exponent / (2 * k))
 
 
 def _scaled_return_table(pencil: MatrixPencil, length: int) -> np.ndarray:

@@ -297,6 +297,31 @@ def join(p: SetPartition, q: SetPartition) -> SetPartition:
     return SetPartition(tuple(frozenset(b) for b in merged.values()))
 
 
+def loop_type(pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Half the sizes of the loops that ``pairs`` close, largest first.
+
+    The pairs of two perfect matchings p and q of one set close it into even
+    loops, walked from each point to the other end of its other pair.  For
+    dot-to-bar matchings this is the cycle type of ``q^-1 p`` on the dots,
+    for pair partitions their coset type: the key of every Weingarten table
+    lookup from pairings.
+    """
+    links: dict[int, list[int]] = {}
+    for a, b in pairs:
+        links.setdefault(a, []).append(b)
+        links.setdefault(b, []).append(a)
+    halves = []
+    while links:
+        start, (here, _) = links.popitem()
+        previous, size = start, 1
+        while here != start:
+            a, b = links.pop(here)
+            previous, here = here, (b if a == previous else a)
+            size += 1
+        halves.append(size // 2)
+    return tuple(sorted(halves, reverse=True))
+
+
 @dataclass(frozen=True)
 class EpsilonSequence:
     """A sequence of signs over dots and bars, marking conjugated factors."""
@@ -369,25 +394,47 @@ class EpsilonMatching:
 def epsilon_matchings(eps: EpsilonSequence) -> list[EpsilonMatching]:
     """All dot-to-bar matchings of ``eps``: (k/2)! of them, none if unbalanced.
 
-    Enumerated once per sign sequence; every call returns a fresh list.
+    Enumerated once per sign sequence, as the :func:`delta_matchings` of a
+    constant label; every call returns a fresh list.
     """
     return list(_epsilon_matchings(eps))
 
 
 @lru_cache(maxsize=None)
 def _epsilon_matchings(eps: EpsilonSequence) -> tuple[EpsilonMatching, ...]:
-    if not eps.is_balanced():
-        return ()
-    if eps.k > MAX_PAIR_ENUMERATION:
+    if eps.is_balanced() and eps.k > MAX_PAIR_ENUMERATION:
         raise CapacityError(
             f"(k/2)! matchings at k = {eps.k}; enumeration is capped at"
             f" k = {MAX_PAIR_ENUMERATION}"
         )
-    dots, bars = eps.dots(), eps.bars()
-    return tuple(
-        EpsilonMatching(eps, PairPartition(tuple(zip(dots, assigned))))
-        for assigned in itertools.permutations(bars)
-    )
+    return delta_matchings.__wrapped__(eps, (0,) * eps.k)
+
+
+@lru_cache(maxsize=None)
+def delta_matchings(eps: EpsilonSequence, x: tuple[int, ...]) -> tuple[EpsilonMatching, ...]:
+    """The matchings of :func:`epsilon_matchings` that join only equal labels of ``x``.
+
+    Those with ``delta_pairs(m.pairing, x) = 1``, in the same order.  Bars
+    are chosen for the dots in turn, so only survivors are built; memoised
+    per ``(eps, x)``.  Capped at k/2 = ``MAX_SYMMETRIC_DEGREE``, as S_{k/2}.
+    """
+    if len(x) != eps.k:
+        raise ValueError("index tuple must match the sign sequence's length")
+    if not eps.is_balanced():
+        return ()
+    if eps.k // 2 > MAX_SYMMETRIC_DEGREE:
+        raise CapacityError(
+            f"dot-to-bar matchings at k = {eps.k} are capped at k/2 = {MAX_SYMMETRIC_DEGREE}"
+        )
+    partial = [((), eps.bars())]
+    for dot in eps.dots():
+        partial = [
+            (chosen + ((dot, bar),), free[:i] + free[i + 1 :])
+            for chosen, free in partial
+            for i, bar in enumerate(free)
+            if x[dot - 1] == x[bar - 1]
+        ]
+    return tuple(EpsilonMatching(eps, PairPartition(chosen)) for chosen, _ in partial)
 
 
 def first_appearance(labels: Iterable[Hashable]) -> tuple[int, ...]:

@@ -6,7 +6,8 @@ over the irreducible characters of S_k (Murnaghan-Nakayama characters and
 hook-content dimensions, Collins & Sniady, CMP 2006), one term per partition
 of k.  The orthogonal ``[Wg_O(p, q, n)]`` over pair partitions inverts
 ``[n^(blocks of p v q)]`` by a centralized solve with one unknown per coset
-type.  The monomial expansion of Wg in powers of ``1/n``, with coefficients
+type.  Every value of two pairings is looked up by ``symcore.loop_type``.
+The monomial expansion of Wg in powers of ``1/n``, with coefficients
 counting constrained transposition factorizations, is implemented
 independently and serves as a cross-check rather than as the definition.
 """
@@ -17,21 +18,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
-from typing import Callable, Hashable, Sequence
 
 from .symcore import (
+    BAR,
+    DOT,
     MAX_SYMMETRIC_DEGREE,
     CapacityError,
     EpsilonSequence,
     PairPartition,
     Permutation,
-    SetPartition,
     all_permutations,
     cycle_type,
+    delta_matchings,
     delta_pairs,
     enumerate_pair_partitions,
     first_appearance,
-    join,
+    loop_type,
     transposition_distance,
 )
 
@@ -147,34 +149,6 @@ class WeingartenTable:
 
     def value(self, sigma: Permutation) -> Fraction:
         return self.values[cycle_type(sigma)]
-
-    def value_of_product(self, p: Permutation, q: Permutation) -> Fraction:
-        """Wg(p q^-1, n), the coefficient attached to the pair (p, q)."""
-        return self.value(p.compose(q.invert()))
-
-
-def _central_gram_solve(
-    elements: Sequence, type_of: Callable, overlap: Callable[..., int], n: int
-) -> dict[Hashable, Fraction]:
-    """The Weingarten column of the base ``elements[0]``, one unknown per type.
-
-    Solves ``sum_t n^overlap(rep, t) W[type_of(t)] = [rep is the base]`` with
-    one row per type, ``rep`` its first element.  The Gram matrix commutes
-    with the group acting on ``elements``, so the full inverse is constant on
-    types, and a nonzero kernel always holds a type-constant vector: this
-    system is singular exactly when the full one is.
-    """
-    types = [type_of(element) for element in elements]
-    first: dict[Hashable, object] = {}
-    for element, key in zip(elements, types):
-        first.setdefault(key, element)
-    column = {key: c for c, key in enumerate(first)}
-    matrix = [[0] * len(first) for _ in first]
-    for row, rep in zip(matrix, first.values()):
-        for element, key in zip(elements, types):
-            row[column[key]] += n ** overlap(rep, element)
-    rhs = [int(rep == elements[0]) for rep in first.values()]
-    return dict(zip(first, _solve_fraction_free(matrix, rhs)))
 
 
 @lru_cache(maxsize=None)
@@ -372,30 +346,6 @@ def check_hurwitz_bounds(k: int, g: int) -> HurwitzBoundReport:
     return HurwitzBoundReport(k=k, g=g, checked=checked, violations=tuple(violations))
 
 
-def _delta_survivors(x: tuple[int, ...], x2: tuple[int, ...]) -> list[Permutation]:
-    """Permutations p with delta_p(x, x2) = 1, i.e. x_l = x2_{p(l)} for all l."""
-    k = len(x)
-    positions: dict[int, list[int]] = {}
-    for l, value in enumerate(x2, start=1):
-        positions.setdefault(value, []).append(l)
-    survivors: list[Permutation] = []
-
-    def rec(l: int, images: list[int], used: set[int]) -> None:
-        if l > k:
-            survivors.append(Permutation(tuple(images)))
-            return
-        for target in positions.get(x[l - 1], ()):
-            if target not in used:
-                images.append(target)
-                used.add(target)
-                rec(l + 1, images, used)
-                used.remove(target)
-                images.pop()
-
-    rec(1, [], set())
-    return survivors
-
-
 def haar_moment(
     x: tuple[int, ...],
     y: tuple[int, ...],
@@ -405,22 +355,12 @@ def haar_moment(
 ) -> Fraction:
     """Exact mixed Haar moment ``E(prod_l U_{x_l y_l} conj(U)_{x2_l y2_l})``.
 
-    Assembled as ``sum_{p,q} delta_p(x, x2) delta_q(y, y2) Wg(p q^-1, n)``;
-    only the permutations surviving each delta factor are enumerated.
+    The signed moment of ``x + x2`` and ``y + y2`` under k dots then k bars.
     """
     k = len(x)
     if not (len(y) == len(x2) == len(y2) == k):
         raise ValueError("all four index tuples must have the same length")
-    if k == 0:
-        return Fraction(1)
-    table = wg_exact(k, n)
-    row_survivors = _delta_survivors(x, x2)
-    col_survivors = _delta_survivors(y, y2)
-    total = Fraction(0)
-    for p in row_survivors:
-        for q in col_survivors:
-            total += table.value_of_product(p, q)
-    return total
+    return haar_moment_signed(x + x2, y + y2, EpsilonSequence((DOT,) * k + (BAR,) * k), n)
 
 
 def haar_moment_signed(
@@ -449,24 +389,22 @@ def haar_moment_signed(
 def _haar_moment_signed(
     x: tuple[int, ...], y: tuple[int, ...], eps: EpsilonSequence, n: int
 ) -> Fraction:
-    dots, bars = eps.dots(), eps.bars()
-    return haar_moment(
-        tuple(x[l - 1] for l in dots),
-        tuple(y[l - 1] for l in dots),
-        tuple(x[l - 1] for l in bars),
-        tuple(y[l - 1] for l in bars),
-        n,
-    )
+    """``sum_{p,q} delta_p(x) delta_q(y) Wg(p, q, n)`` over dot-to-bar matchings,
+    ``Wg`` read off the loop type of ``p`` and ``q``."""
+    if eps.k == 0:
+        return Fraction(1)
+    table = wg_exact(eps.k // 2, n)
+    cols = [q.pairing.pairs for q in delta_matchings(eps, y)]
+    total = Fraction(0)
+    for p in delta_matchings(eps, x):
+        for q in cols:
+            total += table.values[loop_type(p.pairing.pairs + q)]
+    return total
 
 
 def coset_type(p: PairPartition, q: PairPartition) -> tuple[int, ...]:
-    """Joint relabeling invariant of two pair partitions.
-
-    The blocks of the join all have even sizes ``2 m_1 >= 2 m_2 >= ...``;
-    the coset type is ``(m_1, m_2, ...)``.
-    """
-    joined = join(p.as_set_partition(), q.as_set_partition())
-    return tuple(sorted((len(block) // 2 for block in joined.blocks), reverse=True))
+    """Joint relabeling invariant of two pair partitions: their loop type."""
+    return loop_type(p.pairs + q.pairs)
 
 
 @dataclass(frozen=True)
@@ -490,10 +428,13 @@ class OrthWeingartenTable:
 def wg_orth_exact(k: int, n: int) -> OrthWeingartenTable:
     """Exact orthogonal Weingarten table by the centralized Gram solve.
 
-    The same solve as :func:`wg_exact`, over pair partitions: with ``base``
-    the first pair partition, ``sum_r n^(blocks of p v r) Wg_O(r, base, n)``
-    is 1 when ``p`` is the base and 0 otherwise, one equation and one
-    unknown per coset type of ``(r, base)``.
+    With ``base`` the first pair partition, ``sum_r n^(blocks of p v r)
+    Wg_O(r, base, n)`` is 1 when ``p`` is the base and 0 otherwise.  It is
+    solved with one row per coset type of ``(p, base)``, ``p`` its first
+    partition, and one unknown per coset type of ``(r, base)``.  The Gram
+    matrix commutes with the relabelings of the ground set, so the full
+    inverse is constant on coset types, and a nonzero kernel always holds a
+    type-constant vector: this system is singular exactly when the full one is.
 
     Raises
     ------
@@ -513,12 +454,17 @@ def wg_orth_exact(k: int, n: int) -> OrthWeingartenTable:
         raise UnsupportedRegimeError(f"the dimension must be at least 1; got n={n}")
     partitions = enumerate_pair_partitions(k)
     base = partitions[0]
-    values = _central_gram_solve(
-        partitions,
-        lambda r: coset_type(r, base),
-        lambda p, r: len(coset_type(p, r)),
-        n,
-    )
+    types = [coset_type(r, base) for r in partitions]
+    first: dict[tuple[int, ...], PairPartition] = {}
+    for r, key in zip(partitions, types):
+        first.setdefault(key, r)
+    column = {key: c for c, key in enumerate(first)}
+    matrix = [[0] * len(first) for _ in first]
+    for row, p in zip(matrix, first.values()):
+        for r, key in zip(partitions, types):
+            row[column[key]] += n ** len(coset_type(p, r))
+    rhs = [int(p == base) for p in first.values()]
+    values = dict(zip(first, _solve_fraction_free(matrix, rhs)))
     return OrthWeingartenTable(k=k, n=n, values=values)
 
 

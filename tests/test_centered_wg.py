@@ -26,8 +26,10 @@ from haarmoments.symcore import (
     EpsilonSequence,
     PairPartition,
     SetPartition,
+    cycle_type,
     epsilon_matchings,
     join,
+    loop_type,
     transposition_distance,
 )
 from haarmoments.weingarten import UnsupportedRegimeError
@@ -452,3 +454,23 @@ def test_centered_moment_orth_examples():
         1, 8
     ) - Fraction(1, 16)
     assert centered_moment_orth(PI_4, (1, 1, 2, 2), (1, 1, 2, 2), 4) == 0
+
+
+@st.composite
+def _two_matchings(draw):
+    half = draw(st.integers(1, 6))
+    signs = tuple(draw(st.permutations((DOT,) * half + (BAR,) * half)))
+    eps = EpsilonSequence(signs)
+    matchings = []
+    for _ in range(2):
+        bars = draw(st.permutations(eps.bars()))
+        matchings.append(EpsilonMatching(eps, PairPartition(tuple(zip(eps.dots(), bars)))))
+    return matchings
+
+
+@settings(max_examples=200, deadline=None)
+@given(matchings=_two_matchings())
+def test_loop_type_is_the_cycle_type_of_the_matching_permutation(matchings):
+    p, q = matchings
+    expected = cycle_type(matching_permutation(p, q))
+    assert loop_type(p.pairing.pairs + q.pairing.pairs) == expected

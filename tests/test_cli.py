@@ -144,6 +144,36 @@ class TestOutputErrors:
         assert out.read_bytes() == b"old payload"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["table.json"]
 
+    @pytest.mark.parametrize("step", ["encode", "write"])
+    def test_failed_manifest_keeps_the_old_payload(self, tmp_path, monkeypatch, capsys, step):
+        out = tmp_path / "table.json"
+        out.write_bytes(b"old payload")
+        if step == "encode":
+            encode = cli._json_bytes
+
+            def refuse_manifest(data):
+                if "output_digest" in data:
+                    raise ValueError("manifest refused")
+                return encode(data)
+
+            monkeypatch.setattr(cli, "_json_bytes", refuse_manifest)
+        else:
+            opened = []
+
+            def full_after_one(*args, **kwargs):
+                opened.append(args[0])
+                if len(opened) == 2:
+                    raise OSError("manifest refused")
+                return open(*args, **kwargs)
+
+            monkeypatch.setattr(cli, "open", full_after_one, raising=False)
+        code = cli.dispatch(["wg-table", "--k", "2", "--n", "3", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: manifest refused")
+        assert out.read_bytes() == b"old payload"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["table.json"]
+
     def test_payload_and_cache_file_take_the_umask_mode(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache"
         monkeypatch.setenv("HAARMOMENTS_CACHE", str(cache))
@@ -619,6 +649,23 @@ class TestFreeNorm:
         captured = capsys.readouterr()
         assert "--k-max" in captured.err
         assert captured.out == ""
+
+    def test_order_over_the_cap_refused_before_any_order(self, tmp_path, monkeypatch, capsys):
+        from haarmoments import freegroup
+        orders = []
+        rho_k = freegroup.rho_k
+
+        def recording(pencil, k):
+            orders.append(k)
+            return rho_k(pencil, k)
+
+        monkeypatch.setattr(freegroup, "rho_k", recording)
+        pencil = write_uniform_pencil(tmp_path / "pencil.json")
+        k_max = str(freegroup.MAX_RHO_ORDER + 1)
+        argv = ["free-norm", "--pencil", str(pencil), "--m", "4", "--k-max", k_max]
+        assert cli.dispatch(argv) == 2
+        assert "exceeds the cap" in capsys.readouterr().err
+        assert orders == [freegroup.MAX_RHO_ORDER + 1]
 
 
 class TestNbSpectrum:

@@ -319,7 +319,22 @@ class TestRhoK:
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
-            rho_k(uniform_pencil(2), 19)
+            rho_k(uniform_pencil(2), freegroup.MAX_RHO_ORDER + 1)
+
+    def test_order_nineteen_on_two_generators_admitted(self):
+        assert rho_k(uniform_pencil(2), 19) == pytest.approx(math.sqrt(3), abs=1e-12)
+
+    @pytest.mark.parametrize("weight", [1e-3, 2.0, 1e-100, 1e100])
+    def test_rescaled_stack_keeps_the_growth_rate(self, weight):
+        pencil = uniform_pencil(1, weight=weight)
+        for k in (1, 4, 53, 55, 60, freegroup.MAX_RHO_ORDER):
+            assert rho_k(pencil, k) == pytest.approx(weight, rel=1e-12), k
+
+    def test_stack_in_range_is_never_scaled(self, monkeypatch):
+        pencil = random_selfadjoint_pencil(np.random.default_rng(5), d=2, r=3)
+        expected = [rho_k(pencil, k) for k in range(1, 13)]
+        monkeypatch.setattr(freegroup, "RHO_SAFE_EXPONENT", 10**6)
+        assert [rho_k(pencil, k) for k in range(1, 13)] == expected
 
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValueError):

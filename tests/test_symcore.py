@@ -17,11 +17,14 @@ from haarmoments.symcore import (
     SetPartition,
     all_permutations,
     cycle_type,
+    delta_matchings,
+    delta_pairs,
     delta_perm,
     enumerate_pair_partitions,
     enumerate_set_partitions,
     epsilon_matchings,
     join,
+    loop_type,
     permutation_from_cycle_type,
     require_dense,
     transposition_distance,
@@ -240,3 +243,53 @@ def test_delta_perm_inverse_symmetry():
 def test_delta_perm_length_mismatch():
     with pytest.raises(ValueError):
         delta_perm(Permutation.identity(2), (1,), (1, 2))
+
+
+@st.composite
+def _two_pair_partitions(draw):
+    k = 2 * draw(st.integers(1, 6))
+    pairs = []
+    for _ in range(2):
+        order = draw(st.permutations(range(1, k + 1)))
+        pairs.append(PairPartition(tuple(zip(order[::2], order[1::2]))))
+    return pairs
+
+
+@given(partitions=_two_pair_partitions())
+def test_loop_type_is_the_join_coset_type(partitions):
+    p, q = partitions
+    joined = join(p.as_set_partition(), q.as_set_partition())
+    halves = sorted((len(block) // 2 for block in joined.blocks), reverse=True)
+    assert loop_type(p.pairs + q.pairs) == tuple(halves)
+    assert loop_type(q.pairs + p.pairs) == tuple(halves)
+
+
+def test_loop_type_small_cases():
+    assert loop_type(()) == ()
+    assert loop_type(((1, 2), (1, 2))) == (1,)
+    assert loop_type(((1, 2), (3, 4), (1, 4), (3, 2))) == (2,)
+    assert loop_type(((5, 9), (7, 8), (5, 9), (8, 7))) == (1, 1)
+
+
+@st.composite
+def _signs_and_labels(draw):
+    half = draw(st.integers(0, 4))
+    signs = draw(st.permutations((DOT,) * half + (BAR,) * half + (DOT,) * draw(st.integers(0, 1))))
+    labels = tuple(draw(st.lists(st.integers(1, 3), min_size=len(signs), max_size=len(signs))))
+    return EpsilonSequence(tuple(signs)), labels
+
+
+@given(case=_signs_and_labels())
+def test_delta_matchings_filter_epsilon_matchings(case):
+    eps, x = case
+    expected = tuple(m for m in epsilon_matchings(eps) if delta_pairs(m.pairing, x))
+    assert delta_matchings(eps, x) == expected
+    assert delta_matchings.__wrapped__(eps, x) == expected
+
+
+def test_delta_matchings_caps_and_checks():
+    assert len(delta_matchings(EpsilonSequence.from_string("." * 8 + "-" * 8), (1,) * 16)) == 40320
+    with pytest.raises(CapacityError):
+        delta_matchings(EpsilonSequence.from_string("." * 9 + "-" * 9), (1,) * 18)
+    with pytest.raises(ValueError):
+        delta_matchings(EpsilonSequence.from_string(".-"), (1,))

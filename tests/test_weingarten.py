@@ -75,7 +75,7 @@ def test_wg_gram_inverse_identity():
                 [n ** (k - transposition_distance(p.compose(q.invert()))) for q in group]
                 for p in group
             ]
-            wg = [[table.value_of_product(p, q) for q in group] for p in group]
+            wg = [[table.value(p.compose(q.invert())) for q in group] for p in group]
             size = len(group)
             for i in range(size):
                 for j in range(size):
@@ -132,14 +132,22 @@ def _cycles_of_product(p, q):
 def _gram_table(k, n):
     """Wg by the Gram solve over all of S_k, the route wg_exact does not take.
 
+    One row per cycle type, its first permutation ``rep``, and one unknown
+    per cycle type: ``sum_tau n^cycles(rep tau) W[type(tau)] = [rep = id]``.
     Summing over tau^-1 keeps each cycle type, so the overlap of sigma with
     tau^-1 is cycles(sigma tau) on one-line images."""
-    return weingarten._central_gram_solve(
-        list(itertools.permutations(range(1, k + 1))),
-        lambda images: cycle_type(Permutation(images)),
-        _cycles_of_product,
-        n,
-    )
+    group = list(itertools.permutations(range(1, k + 1)))
+    types = [cycle_type(Permutation(images)) for images in group]
+    first = {}
+    for images, key in zip(group, types):
+        first.setdefault(key, images)
+    column = {key: c for c, key in enumerate(first)}
+    matrix = [[0] * len(first) for _ in first]
+    for row, rep in zip(matrix, first.values()):
+        for images, key in zip(group, types):
+            row[column[key]] += n ** _cycles_of_product(rep, images)
+    rhs = [int(rep == group[0]) for rep in first.values()]
+    return dict(zip(first, weingarten._solve_fraction_free(matrix, rhs)))
 
 
 def test_wg_characters_match_gram_solve():
@@ -187,7 +195,7 @@ def test_wg_exact_runs_without_the_gram_solve(monkeypatch):
         raise AssertionError("wg_exact called the Gram solve")
 
     expected = wg_exact(8, 10).values
-    monkeypatch.setattr(weingarten, "_central_gram_solve", refuse)
+    monkeypatch.setattr(weingarten, "_solve_fraction_free", refuse)
     assert wg_exact.__wrapped__(8, 10).values == expected
 
 
@@ -339,6 +347,25 @@ def test_signed_moment_invariant_under_row_and_column_bijections(case, data):
     moved = (tuple(rows[a] for a in x), tuple(cols[b] for b in y), eps, n)
     assert _uncached_signed_moment(*moved) == _uncached_signed_moment(*case)
     assert haar_moment_signed(*moved) == haar_moment_signed(*case)
+
+
+# Values of the parent's permutation route (a survivor recursion and
+# Wg(p q^-1) per pair), k = 7 and 8, past the (k-1)!! and (k/2)! enumeration caps.
+HIGH_DEGREE_MOMENTS = [
+    ((1, 1, 2, 2, 3, 3, 4), (1, 2, 1, 2, 3, 3, 1), (2, 1, 3, 1, 2, 4, 3), (1, 3, 2, 1, 2, 3, 1),
+     7, Fraction(113, 10897286400)),
+    ((1, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7), (7, 6, 5, 4, 3, 2, 1), (7, 6, 5, 4, 3, 2, 1),
+     9, Fraction(24491, 87178291200)),
+    ((1, 1, 1, 2, 2, 2, 3, 3), (1, 2, 3, 1, 2, 3, 1, 2), (2, 2, 1, 1, 3, 1, 2, 3),
+     (3, 1, 2, 2, 1, 1, 3, 2), 8, Fraction(-1, 151632000)),
+    ((1, 1, 2, 2, 3, 3, 4, 4), (1, 1, 1, 1, 2, 2, 2, 2), (4, 3, 2, 1, 4, 3, 2, 1),
+     (2, 1, 2, 1, 2, 1, 2, 1), 10, Fraction(1, 1999404000)),
+]
+
+
+@pytest.mark.parametrize("x, y, x2, y2, n, expected", HIGH_DEGREE_MOMENTS)
+def test_high_degree_moments_match_the_permutation_route(x, y, x2, y2, n, expected):
+    assert haar_moment(x, y, x2, y2, n) == expected
 
 
 def test_orth_degree_two():
