@@ -205,6 +205,17 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.strip() == b"[]"
 
+    def test_freeness_loads_no_scipy(self, tmp_path):
+        write_uniform_pencil(tmp_path / "pencil.json")
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps(
+            {"n": [5], "d": 2, "q_minus": 1, "q_plus": 1, "pencil": "pencil.json", "seed": 3}
+        ))
+        code, modules = modules_after(["freeness", "--config", str(config), "--trials", "1"])
+        assert code == 0
+        assert "haarmoments.haarmodel" in modules
+        assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+
     def test_help_loads_no_numpy_and_no_layer(self):
         code, modules = modules_after(["--help"])
         assert code == 0

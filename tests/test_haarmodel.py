@@ -12,6 +12,7 @@ from haarmoments import haarmodel
 from haarmoments.freegroup import MatrixPencil, astar_norm_lower
 from haarmoments.haarmodel import (
     ModelConfig,
+    PowerIterationError,
     TensorModelInstance,
     astar_norm_estimate,
     bracket_nb_operator,
@@ -385,6 +386,56 @@ class TestRestrictedNorm:
         inst = build_instance(config(n, d=1, pencil=pencil))
         expected = np.linalg.norm(kron_matrix(inst), 2)
         assert restricted_norm(inst) == pytest.approx(expected, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 4),
+        legs=st.sampled_from([(1, 1), (0, 1), (0, 2)]),
+        d=st.integers(1, 2),
+        r=st.integers(1, 3),
+        selfadjoint=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_top_singular_value(self, n, legs, d, r, selfadjoint, seed):
+        rng = np.random.default_rng(seed)
+
+        def draw(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        a0 = draw(r, r)
+        a = [draw(r, r) for _ in range(2 * d)]
+        if selfadjoint:
+            a0 = a0 + a0.conj().T
+            a = a[:d] + [coeff.conj().T for coeff in a[:d]]
+        pencil = MatrixPencil(d=d, coeff_dim=r, a0=a0, a=tuple(a))
+        assert pencil.is_selfadjoint == selfadjoint
+        cfg = config(n, d=d, q_minus=legs[0], q_plus=legs[1], pencil=pencil, r=r, seed=seed)
+        inst = build_instance(cfg)
+        top = np.linalg.svd(kron_restricted(inst), compute_uv=False)[0]
+        assert top * (1 - 1e-12) <= restricted_norm(inst) <= top * (1 + 1e-12)
+
+    def test_unmet_stopping_rule_raises_at_the_restart_cap(self, monkeypatch):
+        """With a zero tolerance the residual rule cannot be met, so the
+        solve runs ten restarts per dimension and gives up."""
+        monkeypatch.setattr(haarmodel, "NORM_TOL", 0.0)
+        inst = build_instance(config(25, seed=4))
+        counted = []
+
+        class Counting:
+            config = inst.config
+
+            def apply_restricted(self, vector):
+                counted.append(1)
+                return inst.apply_restricted(vector)
+
+            def apply_restricted_adjoint(self, vector):
+                return inst.apply_restricted_adjoint(vector)
+
+        with pytest.raises(PowerIterationError, match="in 250 restarts"):
+            restricted_norm(Counting())
+        # The first cycle fills the 20-vector basis; each later one adds the
+        # 10 vectors past the kept Ritz vectors.
+        assert len(counted) == 20 + 249 * 10
 
     def test_kesten_value_small_scale(self):
         values = []
